@@ -5,7 +5,6 @@ data sufficiency (target ratio, |C'|, |R'|) and graph topology
 from repro.metrics.sufficiency import sufficiency_stats  # noqa: F401
 from repro.metrics.topology import (  # noqa: F401
     avg_distance_to_targets,
-    bfs_distances,
     neighbour_type_entropy,
     target_disconnected_pct,
 )

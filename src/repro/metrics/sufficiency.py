@@ -7,23 +7,20 @@ types that matter for the task (|C'| ≤ |C|, |R'| ≤ |R|).
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.kg.schema import KG
+from repro.metrics.topology import _collect
 
 
 def sufficiency_stats(kgp: KG, targets: DataFrame) -> dict:
     """Table III columns: ``V_T`` (targets present in KG'), ``V_T %``
     (share of KG' vertices that are targets), ``|C'|``, ``|R'|``."""
-    t = targets.select("id").distinct()
-    n_nodes = kgp.nodes.count()
-    n_targets = kgp.nodes.join(t, "id", "semi").count()
-    n_ctypes = kgp.nodes.select("ntype").distinct().count()
-    n_rtypes = kgp.triples.select("p").distinct().count()
+    g = _collect(kgp, targets)
+    n_nodes, n_targets = len(g.nodes), int(g.in_t.sum())
     return {
         "V_T": n_targets,
         "V_T_pct": 100.0 * n_targets / max(1, n_nodes),
-        "C'": n_ctypes,
-        "R'": n_rtypes,
+        "C'": int(g.nodes["ntype"].nunique()),
+        "R'": int(g.triples["p"].nunique()),
         "nodes": n_nodes,
     }

@@ -3,100 +3,85 @@
 - ``target_disconnected_pct``: share of non-target vertices in a sampled
   subgraph with no path to any target *within that subgraph* — such
   vertices burn aggregation iterations without ever reaching a target
-  embedding. Computed with a distributed multi-source BFS (iterative
-  frontier joins over the undirected edge table).
+  embedding. Computed with a multi-source BFS from every target.
 - ``avg_distance_to_targets``: mean shortest-path distance between
   non-target vertices and (a sample of) target vertices — the paper's
-  "Avg.Dist.Target". See DESIGN.md §4.7 for the pairwise interpretation;
-  computed driver-side over the (small, already-extracted) subgraph.
+  "Avg.Dist.Target". See DESIGN.md §4.7 for the pairwise interpretation.
 - ``neighbour_type_entropy``: Shannon entropy (Eq. 2) of the distribution
   of per-vertex distinct-neighbour-type counts — higher means more
   diverse neighbourhoods.
+
+Every KG′ scored here is a sample bounded by bs·h or by the TOSG, so each
+indicator collects it once to the driver (as training does) and works on
+an undirected CSR in numpy instead of chaining small Spark jobs.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pandas as pd
+from numpy.typing import ArrayLike
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.kg.schema import KG
 
 
-def bfs_distances(kg: KG, sources: DataFrame, *, max_hops: int = 15) -> DataFrame:
-    """Multi-source BFS: minimum hop distance from any source, undirected.
+class _Collected(NamedTuple):
+    """KG′ on the driver. Vertex positions follow the row order of
+    ``kgp.nodes``, which seeds the source draw of
+    ``avg_distance_to_targets``."""
 
-    Returns ``(id, dist)`` for every reached vertex (sources at 0).
-    Level-synchronous: each round joins the frontier with the edge table
-    and anti-joins already-visited vertices; stops early when the frontier
-    empties.
-    """
-    edges = kg.undirected_edges().persist()
-    visited = (
-        sources.select("id").distinct().withColumn("dist", F.lit(0)).localCheckpoint(eager=True)
-    )
-    frontier = visited
+    nodes: pd.DataFrame  # id, ntype
+    triples: pd.DataFrame  # s, p, o
+    indptr: np.ndarray  # undirected CSR over vertex positions
+    nbrs: np.ndarray
+    in_t: np.ndarray  # target mask over vertex positions
+
+
+def _collect(kgp: KG, targets: DataFrame | None = None) -> _Collected:
+    """Collect ``kgp`` and the ids of ``targets`` and build the undirected
+    CSR. Triples are over KG′'s vertices (Definition 2.1); one with an
+    endpoint outside them has no position and is left out of the CSR."""
+    nodes = kgp.nodes.select("id", "ntype").toPandas()
+    triples = kgp.triples.select("s", "p", "o").toPandas()
+    t_ids = [] if targets is None else targets.select("id").toPandas()["id"].to_numpy()
+    ids = nodes["id"].to_numpy()
+    pos = pd.Index(ids)
+    s, o = pos.get_indexer(triples["s"]), pos.get_indexer(triples["o"])
+    keep = (s >= 0) & (o >= 0)
+    s, o = s[keep], o[keep]
+    src, dst = np.concatenate([s, o]), np.concatenate([o, s])
+    order = np.argsort(src, kind="stable")
+    indptr = np.searchsorted(src[order], np.arange(len(ids) + 1))
+    return _Collected(nodes, triples, indptr, dst[order], np.isin(ids, t_ids))
+
+
+def bfs(indptr: np.ndarray, nbrs: np.ndarray, sources: ArrayLike, max_hops: int) -> np.ndarray:
+    """Hop distance from the nearest of ``sources`` (vertex positions) over
+    the CSR, -1 where none is within ``max_hops``. One gather per hop."""
+    dist = np.full(len(indptr) - 1, -1, dtype=np.int32)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    dist[frontier] = 0
     for hop in range(1, max_hops + 1):
-        nxt = (
-            frontier.join(edges, frontier.id == edges.src)
-            .select(F.col("dst").alias("id"))
-            .distinct()
-            .join(visited, "id", "anti")
-            .withColumn("dist", F.lit(hop))
-            .localCheckpoint(eager=True)
-        )
-        if nxt.isEmpty():
+        starts, lens = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+        if not lens.sum():
             break
-        visited = visited.unionByName(nxt).localCheckpoint(eager=True)
-        frontier = nxt
-    edges.unpersist()
-    return visited
+        at = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        cand = np.unique(nbrs[at])
+        frontier = cand[dist[cand] < 0]
+        dist[frontier] = hop
+    return dist
 
 
 def target_disconnected_pct(kgp: KG, targets: DataFrame, *, max_hops: int = 20) -> float:
     """Table III "Target-Discon.(%)": % of non-target vertices of ``kgp``
-    unreachable from every target vertex inside ``kgp``."""
-    t = targets.select("id").distinct()
-    t_in = kgp.nodes.join(t, "id", "semi").select("id")
-    non_targets = kgp.nodes.join(t, "id", "anti").select("id")
-    n_non = non_targets.count()
-    if n_non == 0:
-        return 0.0
-    if t_in.isEmpty():
-        return 100.0
-    reached = bfs_distances(kgp, t_in, max_hops=max_hops)
-    n_connected = non_targets.join(reached, "id", "semi").count()
-    return 100.0 * (n_non - n_connected) / n_non
-
-
-def _adjacency(kgp: KG) -> tuple[np.ndarray, np.ndarray, np.ndarray, pd.Series]:
-    """CSR-style undirected adjacency of the subgraph, driver-side."""
-    epdf = kgp.triples.select("s", "o").toPandas()
-    npdf = kgp.nodes.select("id").toPandas()
-    ids = npdf["id"].to_numpy()
-    idx = pd.Series(np.arange(len(ids)), index=ids)
-    src = np.concatenate([epdf.s.to_numpy(), epdf.o.to_numpy()])
-    dst = np.concatenate([epdf.o.to_numpy(), epdf.s.to_numpy()])
-    src_i, dst_i = idx[src].to_numpy(), idx[dst].to_numpy()
-    order = np.argsort(src_i, kind="stable")
-    src_i, dst_i = src_i[order], dst_i[order]
-    indptr = np.searchsorted(src_i, np.arange(len(ids) + 1))
-    return indptr, dst_i, ids, idx
-
-
-def _bfs_numpy(indptr: np.ndarray, nbrs: np.ndarray, n: int, source: int, max_hops: int) -> np.ndarray:
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.array([source])
-    for hop in range(1, max_hops + 1):
-        if len(frontier) == 0:
-            break
-        cand = np.concatenate([nbrs[indptr[u]: indptr[u + 1]] for u in frontier]) if len(frontier) else np.array([], dtype=np.int64)
-        cand = np.unique(cand)
-        nxt = cand[dist[cand] < 0]
-        dist[nxt] = hop
-        frontier = nxt
-    return dist
+    with no path of at most ``max_hops`` edges from a target inside
+    ``kgp`` (0 when every vertex is a target, 100 when none is)."""
+    g = _collect(kgp, targets)
+    d = bfs(g.indptr, g.nbrs, np.flatnonzero(g.in_t), max_hops)
+    n_non = int((~g.in_t).sum())
+    return 100.0 * int(((d < 0) & ~g.in_t).sum()) / max(1, n_non)
 
 
 def avg_distance_to_targets(
@@ -105,49 +90,34 @@ def avg_distance_to_targets(
     """Mean finite shortest-path distance over (non-target, target) pairs,
     estimated by BFS from ``n_sources`` sampled targets (NaN if no target
     reaches any non-target vertex)."""
-    indptr, nbrs, ids, idx = _adjacency(kgp)
-    t_ids = {r["id"] for r in targets.select("id").distinct().collect()}
-    in_t = np.array([i in t_ids for i in ids])
-    t_pos = np.flatnonzero(in_t)
-    if len(t_pos) == 0 or in_t.all():
+    g = _collect(kgp, targets)
+    t_pos = np.flatnonzero(g.in_t)
+    if len(t_pos) == 0 or g.in_t.all():
         return float("nan")
     rng = np.random.default_rng(seed)
     srcs = rng.choice(t_pos, min(n_sources, len(t_pos)), replace=False)
-    dists = []
+    total = count = 0
     for s in srcs:
-        d = _bfs_numpy(indptr, nbrs, len(ids), int(s), max_hops)
-        finite = d[(d > 0) & ~in_t]
-        if len(finite):
-            dists.append(finite.astype(float))
-    if not dists:
-        return float("nan")
-    return float(np.concatenate(dists).mean())
+        d = bfs(g.indptr, g.nbrs, [s], max_hops)
+        finite = d[(d > 0) & ~g.in_t]
+        total, count = total + int(finite.sum()), count + len(finite)
+    return total / count if count else float("nan")
 
 
 def neighbour_type_entropy(kgp: KG) -> float:
     """Eq. 2: entropy of the per-vertex distinct-neighbour-type counts.
 
     For each vertex, count the distinct node types among its undirected
-    neighbours; take the Shannon entropy of that count's distribution over
-    all vertices (isolated vertices count 0).
+    neighbours (a self-loop makes a vertex its own neighbour); take the
+    Shannon entropy of that count's distribution over all vertices
+    (isolated vertices count 0). An empty KG′ has entropy 0.
     """
-    edges = kgp.undirected_edges()
-    typed = edges.join(
-        kgp.nodes.select(F.col("id").alias("dst"), F.col("ntype").alias("dst_type")),
-        "dst",
-    )
-    per_node = typed.groupBy("src").agg(
-        F.countDistinct("dst_type").alias("nt_count")
-    )
-    counts = (
-        kgp.nodes.select(F.col("id").alias("src"))
-        .join(per_node, "src", "left")
-        .fillna(0, subset=["nt_count"])
-        .groupBy("nt_count")
-        .count()
-        .toPandas()
-    )
-    p = counts["count"].to_numpy(dtype=float)
-    p /= p.sum()
+    g = _collect(kgp)
+    n = len(g.nodes)
+    codes, types = pd.factorize(g.nodes["ntype"])
+    src = np.repeat(np.arange(n), np.diff(g.indptr))
+    pairs = np.unique(src * len(types) + codes[g.nbrs])
+    per_vertex = np.bincount(pairs // len(types), minlength=n)
+    p = np.bincount(per_vertex) / n
     p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    return float(-(p * np.log2(p)).sum()) + 0.0  # + 0.0 turns -0.0 into 0.0

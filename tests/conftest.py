@@ -8,6 +8,7 @@ import pytest
 from repro.core.pattern import TOSGPattern
 from repro.core.sparql_extract import extract_tosg
 from repro.core.subgraph import materialize
+from repro.core.urw import urw_sample
 from repro.kg import generator
 from repro.kg.partition import build_index
 from repro.tasks.defs import TASKS, target_vertices
@@ -80,5 +81,13 @@ def mag_pv_targets(mag_bundle):
 @pytest.fixture(scope="session")
 def mag_d1h1(mag_index, mag_pv_targets):
     kgp = materialize(extract_tosg(mag_index, mag_pv_targets, TOSGPattern(1, 1)))
+    yield kgp
+    kgp.unpersist()
+
+
+@pytest.fixture(scope="session")
+def mag_urw(mag_bundle):
+    """A URW sample of MAG that keeps target-disconnected vertices."""
+    kgp = materialize(urw_sample(mag_bundle.kg, bs=60, h=3, seed=3))
     yield kgp
     kgp.unpersist()

@@ -28,11 +28,9 @@ def test_d1h1_improves_target_ratio_over_urw(mag_bundle, mag_pv_targets, mag_d1h
     urw.unpersist()
 
 
-def test_d1h1_zero_disconnected_urw_not(mag_bundle, mag_pv_targets, mag_d1h1):
-    urw = materialize(urw_sample(mag_bundle.kg, bs=60, h=3, seed=3))
+def test_d1h1_zero_disconnected_urw_not(mag_pv_targets, mag_d1h1, mag_urw):
     assert target_disconnected_pct(mag_d1h1, mag_pv_targets) == 0.0
-    assert target_disconnected_pct(urw, mag_pv_targets) > 0.0
-    urw.unpersist()
+    assert target_disconnected_pct(mag_urw, mag_pv_targets) > 0.0
 
 
 def test_kgp_contains_every_target(mag_pv_targets, mag_d1h1):
