@@ -120,11 +120,6 @@ PAPER_TABLE4 = {
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _bench_sf(name: str, sf: float) -> float:
-    """wikikg2/YAGO3-10 are generated at their own (already small) scale."""
-    return sf
-
-
 def _train_params(sf: float) -> dict:
     """SAINT training hyper-parameters scaled to the graph size."""
     return dict(
@@ -154,7 +149,7 @@ def table1(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
     """Benchmark statistics for the five generated KGs vs the paper's."""
     rows = []
     for name in generator.GENERATORS:
-        bundle = generator.generate(name, spark, sf=_bench_sf(name, sf))
+        bundle = generator.generate(name, spark, sf=sf)
         st = kg_stats(bundle.kg)
         p = PAPER_TABLE1[name]
         rows.append(
@@ -184,9 +179,7 @@ def table2(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
     by_kg: dict[str, object] = {}
     for key, task in TASKS.items():
         if task.kg_name not in by_kg:
-            by_kg[task.kg_name] = generator.generate(
-                task.kg_name, spark, sf=_bench_sf(task.kg_name, sf)
-            )
+            by_kg[task.kg_name] = generator.generate(task.kg_name, spark, sf=sf)
         bundle = by_kg[task.kg_name]
         frame = nc_frame(bundle, task) if task.tt == "NC" else lp_frame(bundle, task)
         frac = split_fractions(frame)

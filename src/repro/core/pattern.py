@@ -2,12 +2,9 @@
 
 Two parameters: predicate direction ``d`` (1 = outgoing only, 2 = outgoing
 and incoming) and hop count ``h``. ``KG-TOSA_d1h1`` is the paper's default
-for NC tasks; ``d2h1`` for LP tasks.
-
-``to_sparql`` renders the pattern as the Basic Graph Pattern the paper's
-Algorithm 3 would send to an RDF engine (e.g. Q^{d2h1}); our executor in
-``sparql_extract`` evaluates the same BGP against the partitioned triple
-indices instead of a SPARQL endpoint.
+for NC tasks; ``d2h1`` for LP tasks. ``sparql_extract`` evaluates the
+pattern as a BGP against the partitioned triple indices instead of a SPARQL
+endpoint.
 """
 from __future__ import annotations
 
@@ -38,33 +35,3 @@ class TOSGPattern:
 NC_DEFAULT = TOSGPattern(d=1, h=1)
 LP_DEFAULT = TOSGPattern(d=2, h=1)
 VARIATIONS = [TOSGPattern(1, 1), TOSGPattern(2, 1), TOSGPattern(1, 2), TOSGPattern(2, 2)]
-
-
-def to_sparql(pattern: TOSGPattern, target_type: str, lp_predicate: str | None = None) -> str:
-    """Render the BGP as SPARQL text (documentation / Algorithm 3 line 2).
-
-    One UNION block per (direction, hop) leg, target vertices anchored by
-    ``rdf:type``; for LP tasks the bridge triple pattern
-    ``⟨?vt, p_T, ?vt2⟩`` joins the two target subgraphs (§IV-C).
-    """
-    blocks = []
-    subj = "?vt"
-    anchor = f"{subj} rdf:type <{target_type}> ."
-    for hop in range(1, pattern.h + 1):
-        chain_out = [anchor]
-        prev = subj
-        for k in range(1, hop + 1):
-            chain_out.append(f"{prev} ?p{k} ?n{k} .")
-            prev = f"?n{k}"
-        blocks.append("  { " + " ".join(chain_out) + " }")
-        if pattern.d == 2:
-            chain_in = [anchor]
-            prev = subj
-            for k in range(1, hop + 1):
-                chain_in.append(f"?m{k} ?q{k} {prev} .")
-                prev = f"?m{k}"
-            blocks.append("  { " + " ".join(chain_in) + " }")
-    if lp_predicate is not None:
-        blocks.append(f"  {{ ?vt <{lp_predicate}> ?vt2 . }}")
-    body = "\n  UNION\n".join(blocks)
-    return "CONSTRUCT { ?s ?p ?o } WHERE {\n" + body + "\n}"

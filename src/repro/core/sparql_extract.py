@@ -8,11 +8,11 @@ repeats from the hop-1 neighbour frontier, and so on. Matched triples are
 unioned and de-duplicated — the "merge" that interlinks per-target stars
 into one KG' with longer metapaths (§IV-C).
 
-``extract_tosg_paginated`` mirrors Algorithm 3's batched execution
-(executionPlanner → per-batch subqueries → parallel workers → final
-``dropDuplicates``): the target set is hash-partitioned into query
-batches, each batch's BGP runs independently, results are unioned and
-deduplicated. Tests assert it is result-identical to the direct form.
+Algorithm 3 pages the target set into subqueries run by a worker pool and
+drops duplicates once at the end (line 10). Here the whole target set is
+one Catalyst plan: Spark's partitioned semi-join against the index plays
+the paging and the worker pool, and ``from_triples`` does the one final
+dedup.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ def extract_tosg(
     pattern: TOSGPattern = TOSGPattern(1, 1),
     *,
     lp_predicate: str | None = None,
-    name: str | None = None,
 ) -> KG:
     """Extract ``KG'`` for a target set with pattern ``(d, h)``.
 
@@ -60,44 +59,4 @@ def extract_tosg(
     matched = _match_bgp(index, targets, pattern)
     if lp_predicate is not None:
         matched = matched.unionByName(index.predicate(lp_predicate))
-    triples = matched.dropDuplicates(["s", "p", "o"])
-    return from_triples(
-        kg, triples, name=name or f"{kg.name}-TOSA_{pattern.variant}"
-    )
-
-
-def extract_tosg_paginated(
-    index: TripleIndex,
-    targets: DataFrame,
-    pattern: TOSGPattern = TOSGPattern(1, 1),
-    *,
-    bs: int,
-    lp_predicate: str | None = None,
-    name: str | None = None,
-) -> KG:
-    """Algorithm 3's paginated execution plan.
-
-    ``getGraphSize``/``executionPlanner`` (lines 3–4): count the targets
-    and derive the number of query batches for batch size ``bs``; each
-    batch is an independent subquery (lines 6–9, Spark's task scheduler
-    playing the worker pool); line 10's duplicate elimination merges the
-    per-batch triple sets.
-    """
-    kg = index.kg
-    t = targets.select("id").distinct().persist()
-    count = t.count()  # getGraphSize
-    n_batches = max(1, -(-count // bs))  # executionPlanner: ceil(count / bs)
-    batched = t.withColumn("_qb", F.pmod(F.hash("id"), F.lit(n_batches)))
-    parts = [
-        _match_bgp(index, batched.where(F.col("_qb") == i).select("id"), pattern)
-        for i in range(n_batches)
-    ]
-    matched = reduce(lambda a, b: a.unionByName(b), parts)
-    if lp_predicate is not None:
-        matched = matched.unionByName(index.predicate(lp_predicate))
-    triples = matched.dropDuplicates(["s", "p", "o"])
-    out = from_triples(
-        kg, triples, name=name or f"{kg.name}-TOSA_{pattern.variant}"
-    )
-    t.unpersist()
-    return out
+    return from_triples(kg, matched, name=f"{kg.name}-TOSA_{pattern.variant}")

@@ -8,11 +8,15 @@ sorted within partitions, so a join against a key set is a partition-local
 sorted probe rather than a full shuffle of the KG — the same access-path
 idea expressed in Catalyst terms.
 
-``TripleIndex`` materializes three persisted layouts:
+A hexastore keeps one layout per binding pattern a query uses. The d·h
+pattern binds only the subject (outgoing legs) or the object (incoming
+legs), so ``TripleIndex`` materializes two persisted layouts:
 
 - ``by_s``  — subject-keyed (SPO analogue): outgoing-edge lookups,
-- ``by_o``  — object-keyed (OPS analogue): incoming-edge lookups,
-- ``by_p``  — predicate-keyed (PSO analogue): per-relation scans (LP tasks).
+- ``by_o``  — object-keyed (OPS analogue): incoming-edge lookups.
+
+The LP bridge reads a single predicate; it is a filtered scan of the cached
+``by_s`` layout.
 """
 from __future__ import annotations
 
@@ -23,6 +27,10 @@ from pyspark.sql import functions as F
 
 from repro.kg.schema import KG
 
+# Partitions per layout. Extraction plans and the row order of their results
+# depend on it, so changing it is a measured decision, not a tuning knob.
+N_PARTITIONS = 16
+
 
 @dataclass
 class TripleIndex:
@@ -31,7 +39,6 @@ class TripleIndex:
     kg: KG
     by_s: DataFrame
     by_o: DataFrame
-    by_p: DataFrame
 
     def outgoing(self, vertex_ids: DataFrame) -> DataFrame:
         """All triples whose subject is in ``vertex_ids`` (column ``id``) —
@@ -46,20 +53,19 @@ class TripleIndex:
     def predicate(self, p: str) -> DataFrame:
         """All triples of one predicate — the LP bridge pattern
         ``⟨?v_Ti, p_T, ?v_Tj⟩``."""
-        return self.by_p.where(F.col("p") == p)
+        return self.by_s.where(F.col("p") == p)
 
     def unpersist(self) -> None:
-        for df in (self.by_s, self.by_o, self.by_p):
+        for df in (self.by_s, self.by_o):
             df.unpersist()
 
 
-def build_index(kg: KG, *, n_partitions: int = 16) -> TripleIndex:
-    """Build and persist the three layouts (the RDF engine's "default
+def build_index(kg: KG) -> TripleIndex:
+    """Build and persist the two layouts (the RDF engine's "default
     built-in indices"; built once per KG, amortized over every extraction)."""
     t = kg.triples
-    by_s = t.repartition(n_partitions, "s").sortWithinPartitions("s", "p", "o").persist()
-    by_o = t.repartition(n_partitions, "o").sortWithinPartitions("o", "p", "s").persist()
-    by_p = t.repartition(n_partitions, "p").sortWithinPartitions("p", "s", "o").persist()
+    by_s = t.repartition(N_PARTITIONS, "s").sortWithinPartitions("s", "p", "o").persist()
+    by_o = t.repartition(N_PARTITIONS, "o").sortWithinPartitions("o", "p", "s").persist()
     # materialize eagerly so extraction timings don't pay index build cost
-    by_s.count(), by_o.count(), by_p.count()
-    return TripleIndex(kg=kg, by_s=by_s, by_o=by_o, by_p=by_p)
+    by_s.count(), by_o.count()
+    return TripleIndex(kg=kg, by_s=by_s, by_o=by_o)

@@ -6,7 +6,6 @@ against DuckDB in tests.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import functions as F
 
 from repro.kg.schema import KG
@@ -30,22 +29,3 @@ def kg_stats(kg: KG) -> dict:
         "e_type": int(e["n_etypes"]),
     }
 
-
-def degree_stats(kg: KG) -> dict:
-    """Average out-degree / in-degree over vertices that have edges."""
-    out_deg = kg.triples.groupBy("s").count()
-    in_deg = kg.triples.groupBy("o").count()
-    return {
-        "avg_out_degree": float(out_deg.agg(F.avg("count")).first()[0]),
-        "avg_in_degree": float(in_deg.agg(F.avg("count")).first()[0]),
-    }
-
-
-def type_histogram(kg: KG) -> pd.DataFrame:
-    """Node count per node type, descending — generator sanity checks."""
-    return (
-        kg.nodes.groupBy("ntype")
-        .count()
-        .orderBy(F.desc("count"), "ntype")
-        .toPandas()
-    )

@@ -49,7 +49,6 @@ def test_index_layouts_preserve_triple_count(mag_index):
     n = mag_index.kg.triples.count()
     assert mag_index.by_s.count() == n
     assert mag_index.by_o.count() == n
-    assert mag_index.by_p.count() == n
 
 
 def test_outgoing_empty_targets(spark, mag_index):

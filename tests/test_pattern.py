@@ -1,7 +1,7 @@
-"""The TOSG generic graph pattern object and its SPARQL rendering."""
+"""The TOSG generic graph pattern object."""
 import pytest
 
-from repro.core.pattern import LP_DEFAULT, NC_DEFAULT, VARIATIONS, TOSGPattern, to_sparql
+from repro.core.pattern import LP_DEFAULT, NC_DEFAULT, VARIATIONS, TOSGPattern
 
 
 @pytest.mark.parametrize("d,h,variant", [(1, 1, "d1h1"), (2, 1, "d2h1"), (1, 2, "d1h2"), (2, 2, "d2h2")])
@@ -25,34 +25,6 @@ def test_paper_defaults():
     assert NC_DEFAULT.variant == "d1h1"
     assert LP_DEFAULT.variant == "d2h1"
     assert [p.variant for p in VARIATIONS] == ["d1h1", "d2h1", "d1h2", "d2h2"]
-
-
-def test_sparql_d1h1_single_outgoing_leg():
-    q = to_sparql(TOSGPattern(1, 1), "Paper")
-    assert "UNION" not in q
-    assert "?vt ?p1 ?n1" in q and "rdf:type <Paper>" in q
-
-
-def test_sparql_d2h1_has_incoming_leg():
-    q = to_sparql(TOSGPattern(2, 1), "Paper")
-    assert q.count("UNION") == 1
-    assert "?m1 ?q1 ?vt" in q
-
-
-def test_sparql_h2_extends_chain():
-    q = to_sparql(TOSGPattern(1, 2), "Paper")
-    assert "?n1 ?p2 ?n2" in q
-    assert q.count("UNION") == 1  # hop-1 leg UNION hop-2 leg
-
-
-def test_sparql_d2h2_has_four_legs():
-    q = to_sparql(TOSGPattern(2, 2), "Paper")
-    assert q.count("UNION") == 3
-
-
-def test_sparql_lp_bridge_pattern():
-    q = to_sparql(TOSGPattern(2, 1), "Author", lp_predicate="affiliatedWith")
-    assert "?vt <affiliatedWith> ?vt2" in q
 
 
 def test_pattern_frozen_hashable():

@@ -1,11 +1,14 @@
 """SPARQL-based TOSG extraction (Algorithm 3): every d/h variation is
 oracle-checked against the equivalent SQL over the raw triple table, and
-the paginated execution plan must be result-identical to the direct one."""
+an empty target set has a defined result."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.pattern import TOSGPattern
-from repro.core.sparql_extract import extract_tosg, extract_tosg_paginated
+from repro.core.pattern import VARIATIONS, TOSGPattern
+from repro.core.sparql_extract import extract_tosg
+from repro.kg.partition import build_index
+from repro.kg.schema import make_kg
 from repro.oracle import assert_equivalent
 from repro.tasks.defs import TASKS, target_vertices
 
@@ -63,19 +66,6 @@ def test_d2h2_matches_oracle(mag_index, mag_pv_targets):
     )
 
 
-@pytest.mark.parametrize("d,h", [(1, 1), (2, 1), (1, 2)])
-def test_paginated_equals_direct(mag_index, mag_pv_targets, d, h):
-    """Algorithm 3's batched subqueries + final dropDuplicates must return
-    exactly the direct BGP result, for any batch size."""
-    direct = extract_tosg(mag_index, mag_pv_targets, TOSGPattern(d, h))
-    paged = extract_tosg_paginated(mag_index, mag_pv_targets, TOSGPattern(d, h), bs=97)
-    assert_equivalent(
-        paged.triples,
-        "SELECT s, p, o FROM d",
-        d=direct.triples,
-    )
-
-
 def test_variation_containment(mag_index, mag_pv_targets):
     """d1h1 ⊆ d2h1 and d1h1 ⊆ d1h2 (more direction/hops only add triples)."""
     def tset(p):
@@ -98,8 +88,6 @@ def test_nodes_are_triple_endpoints(mag_index, mag_pv_targets):
 
 
 def test_lp_bridge_includes_all_task_triples(dblp_bundle):
-    from repro.kg.partition import build_index
-
     task = TASKS["AA/DBLP-15M"]
     idx = build_index(dblp_bundle.kg)
     targets = target_vertices(dblp_bundle.kg, task)
@@ -119,3 +107,53 @@ def test_extraction_is_deterministic(mag_index, mag_pv_targets):
     a = extract_tosg(mag_index, mag_pv_targets, TOSGPattern(1, 1)).triples.orderBy("s", "p", "o").toPandas()
     b = extract_tosg(mag_index, mag_pv_targets, TOSGPattern(1, 1)).triples.orderBy("s", "p", "o").toPandas()
     assert a.equals(b)
+
+
+@pytest.fixture(scope="module")
+def tiny_index(spark):
+    """Vertices t=0 (T), a=1 (A), b=2 (B); triples t-x->a and b-y->a."""
+    nodes = pd.DataFrame(
+        {
+            "id": pd.Series([0, 1, 2], dtype="int64"),
+            "ntype": pd.Series(["T", "A", "B"], dtype="object"),
+            "year": pd.array([None] * 3, dtype="Int64"),
+        }
+    )
+    triples = pd.DataFrame(
+        {
+            "s": pd.Series([0, 2], dtype="int64"),
+            "p": pd.Series(["x", "y"], dtype="object"),
+            "o": pd.Series([1, 1], dtype="int64"),
+        }
+    )
+    idx = build_index(make_kg(spark, "tiny", nodes, triples))
+    yield idx
+    idx.unpersist()
+
+
+def _ids(spark, ids):
+    return spark.createDataFrame([(i,) for i in ids], schema="id long")
+
+
+def _content(kgp):
+    triples = {(r["s"], r["p"], r["o"]) for r in kgp.triples.collect()}
+    nodes = {r["id"] for r in kgp.nodes.collect()}
+    return triples, nodes
+
+
+@pytest.mark.parametrize("pattern", VARIATIONS, ids=lambda p: p.variant)
+def test_empty_targets_give_empty_kgp(spark, tiny_index, pattern):
+    kgp = extract_tosg(tiny_index, _ids(spark, []), pattern)
+    assert _content(kgp) == (set(), set())
+
+
+def test_empty_targets_keep_lp_bridge(spark, tiny_index):
+    kgp = extract_tosg(tiny_index, _ids(spark, []), TOSGPattern(2, 1), lp_predicate="y")
+    assert _content(kgp) == ({(2, "y", 1)}, {1, 2})
+
+
+def test_absent_lp_predicate_adds_nothing(spark, tiny_index):
+    none = extract_tosg(tiny_index, _ids(spark, []), TOSGPattern(2, 1), lp_predicate="z")
+    assert _content(none) == (set(), set())
+    kgp = extract_tosg(tiny_index, _ids(spark, [0]), TOSGPattern(2, 1), lp_predicate="z")
+    assert _content(kgp) == ({(0, "x", 1)}, {0, 1})

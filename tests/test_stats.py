@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.kg.stats import degree_stats, kg_stats, type_histogram
+from repro.kg.stats import kg_stats
 from repro.oracle import assert_equivalent
 
 
@@ -19,32 +19,6 @@ def test_kg_stats_against_oracle(spark, mag_bundle):
         n=kg.nodes,
         t=kg.triples,
     )
-
-
-def test_degree_stats_positive(mag_bundle):
-    d = degree_stats(mag_bundle.kg)
-    assert d["avg_out_degree"] >= 1.0
-    assert d["avg_in_degree"] >= 1.0
-
-
-def test_degree_stats_against_oracle(spark, mag_bundle):
-    kg = mag_bundle.kg
-    d = degree_stats(kg)
-    got = spark.createDataFrame(pd.DataFrame([d]))
-    assert_equivalent(
-        got,
-        """SELECT (SELECT AVG(c) FROM (SELECT COUNT(*) AS c FROM t GROUP BY s)) AS avg_out_degree,
-                  (SELECT AVG(c) FROM (SELECT COUNT(*) AS c FROM t GROUP BY o)) AS avg_in_degree""",
-        t=kg.triples,
-    )
-
-
-def test_type_histogram_sums_to_node_count(mag_bundle):
-    hist = type_histogram(mag_bundle.kg)
-    assert hist["count"].sum() == mag_bundle.kg.n_nodes()
-    assert (hist["count"].to_numpy()[:-1] >= hist["count"].to_numpy()[1:]).all() or True
-    # descending by count
-    assert list(hist["count"]) == sorted(hist["count"], reverse=True)
 
 
 @pytest.mark.parametrize("col", ["nodes", "edges", "n_type", "e_type"])
