@@ -1,27 +1,71 @@
 """Influence-based sampling — the paper's Algorithm 2.
 
 The influence score (Eq. 3, an embedding-sensitivity measure) is
-approximated with Personalized PageRank from the target vertices, exactly
-as the paper does ("adapts the PPR [38] to approximate an influence
-score"). We run batched-seed PPR as a DataFrame power iteration over the
-undirected edge table:
-
-    p_{t+1} = alpha * seed + (1 - alpha) * A_norm^T p_t
-
-with the approximation threshold ``eps`` pruning negligible mass each
-round (the epsilon of the paper's O(N_out / (eps * alpha)) complexity).
-Top-k selection keeps the ``k * bs`` most influential non-target vertices
-(global rather than per-target pairs — see DESIGN.md §4.4), and KG' is the
-induced subgraph over seeds + influential targets + chosen neighbours.
+approximated with Personalized PageRank from the target vertices, as the
+paper does ("adapts the PPR [38] to approximate an influence score"):
+batched-seed power iteration ``p_{t+1} = alpha * seed + (1 - alpha) *
+A_norm^T p_t`` over the undirected KG, pruning scores below ``eps`` every
+round (the epsilon of the paper's O(N_out / (eps * alpha)) bound). The
+mass is at most 1, so at most 1/eps vertices survive a round: the iteration
+runs in numpy on the driver, and Spark only fetches the triples of vertices
+new to that frontier (broadcast semi-joins), so a settled frontier runs none.
+Top-k keeps the ``k * bs`` most influential non-targets (global, not
+per-target pairs — DESIGN.md §4.4); KG' is the induced subgraph over
+seeds + influential targets + chosen neighbours.
 """
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.subgraph import induced_subgraph
 from repro.core.walks import sample_vertices
 from repro.kg.schema import KG
+
+
+def _id_frame(kg: KG, ids: np.ndarray) -> DataFrame:
+    return kg.triples.sparkSession.createDataFrame(pd.DataFrame({"id": ids}), "id long")
+
+
+def _ids(df: DataFrame) -> np.ndarray:
+    return df.select("id").toPandas()["id"].to_numpy(np.int64)
+
+
+def _neighbours(kg: KG, ids: np.ndarray) -> np.ndarray:
+    """Rows ``(src, dst, deg(src))``, one per distinct undirected neighbour
+    ``dst`` of each ``src`` in ``ids`` (triples with ``s`` or ``o`` in ``ids``)."""
+    t = kg.triples
+    pairs = (
+        t.select(F.col("s").alias("id"), F.col("o").alias("dst"))
+        .unionByName(t.select(F.col("o").alias("id"), F.col("s").alias("dst")))
+        .join(F.broadcast(_id_frame(kg, ids)), "id", "semi")
+        .toPandas()
+    )
+    pairs = np.unique(pairs.to_numpy(np.int64), axis=0)
+    _, inv, deg = np.unique(pairs[:, 0], return_inverse=True, return_counts=True)
+    return np.column_stack([pairs, deg[inv]])
+
+
+def _ppr(kg: KG, seed_rows: np.ndarray, *, alpha: float, eps: float, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted ids and their PPR scores; each distinct seed id starts with
+    mass ``1 / len(seed_rows)``. A vertex's triples are fetched once. The
+    walk divides by degree (no reciprocal): top-k cuts see the last bit."""
+    p0, mass = np.unique(seed_rows), 1.0 / max(1, len(seed_rows))
+    ids, score = p0, np.full(len(p0), mass)
+    fetched, adj = np.empty(0, np.int64), np.empty((0, 3), np.int64)
+    for _ in range(iters):
+        new = np.setdiff1d(ids, fetched, assume_unique=True)
+        if len(new):
+            fetched, adj = np.union1d(fetched, new), np.concatenate([adj, _neighbours(kg, new)])
+        out = adj[np.isin(adj[:, 0], ids)]
+        m = score[np.searchsorted(ids, out[:, 0])] / out[:, 2]
+        ids = np.union1d(p0, out[:, 1])
+        walk = np.bincount(np.searchsorted(ids, out[:, 1]), weights=m, minlength=len(ids))
+        score = alpha * np.where(np.isin(ids, p0), mass, 0.0) + (1 - alpha) * walk
+        ids, score = ids[score >= eps], score[score >= eps]
+    return ids, score
 
 
 def personalized_pagerank(
@@ -38,40 +82,8 @@ def personalized_pagerank(
     ``eps`` are pruned every iteration so the frontier stays proportional
     to the local cluster around the seeds, not the whole KG.
     """
-    edges = kg.undirected_edges().persist()
-    deg = edges.groupBy("src").agg(F.count("*").alias("deg")).persist()
-    n_seeds = seeds.count()
-    p0 = (
-        seeds.select("id")
-        .distinct()
-        .withColumn("seed_mass", F.lit(1.0 / max(1, n_seeds)))
-        .persist()
-    )
-    p = p0.select("id", F.col("seed_mass").alias("score"))
-    for it in range(iters):
-        contrib = (
-            p.join(edges, p.id == edges.src)
-            .join(deg, "src")
-            .select(F.col("dst").alias("id"), (F.col("score") / F.col("deg")).alias("m"))
-            .groupBy("id")
-            .agg(F.sum("m").alias("walk_mass"))
-        )
-        p = (
-            contrib.join(p0, "id", "full")
-            .select(
-                "id",
-                (
-                    F.lit(alpha) * F.coalesce(F.col("seed_mass"), F.lit(0.0))
-                    + F.lit(1 - alpha) * F.coalesce(F.col("walk_mass"), F.lit(0.0))
-                ).alias("score"),
-            )
-            .where(F.col("score") >= eps)
-            .localCheckpoint(eager=True)
-        )
-    edges.unpersist()
-    deg.unpersist()
-    p0.unpersist()
-    return p
+    ids, score = _ppr(kg, _ids(seeds), alpha=alpha, eps=eps, iters=iters)
+    return kg.triples.sparkSession.createDataFrame(pd.DataFrame({"id": ids, "score": score}), "id long, score double")
 
 
 def ibs_sample(
@@ -87,24 +99,10 @@ def ibs_sample(
 ) -> KG:
     """Algorithm 2: PPR from ``bs`` sampled targets, keep influential
     targets plus the top ``k*bs`` influential non-targets, induce KG'."""
-    seeds = sample_vertices(targets, bs, seed=seed).persist()
-    scores = personalized_pagerank(kg, seeds, alpha=alpha, eps=eps, iters=iters).persist()
-    t = targets.select("id").distinct()
-    influential_targets = scores.join(t, "id", "semi").select("id")
-    top_neighbours = (
-        scores.join(t, "id", "anti")
-        .orderBy(F.desc("score"), "id")
-        .limit(k * bs)
-        .select("id")
-    )
-    chosen = (
-        seeds.select("id")
-        .unionByName(influential_targets)
-        .unionByName(top_neighbours)
-        .distinct()
-        .localCheckpoint(eager=True)
-    )
-    out = induced_subgraph(kg, chosen, name=f"{kg.name}-IBS")
-    seeds.unpersist()
-    scores.unpersist()
-    return out
+    seeds = _ids(sample_vertices(targets, bs, seed=seed))
+    ids, score = _ppr(kg, seeds, alpha=alpha, eps=eps, iters=iters)
+    is_target = np.isin(ids, _ids(targets.select("id").join(F.broadcast(_id_frame(kg, ids)), "id", "semi")))
+    others = np.flatnonzero(~is_target)
+    top = others[np.lexsort((ids[others], -score[others]))[: k * bs]]
+    chosen = np.unique(np.concatenate([seeds, ids[is_target], ids[top]]))
+    return induced_subgraph(kg, _id_frame(kg, chosen), name=f"{kg.name}-IBS")

@@ -177,7 +177,6 @@ class GraphBuilder:
             ],
             ignore_index=True,
         )
-        nodes["year"] = nodes["year"].astype("Int64")
         triples = pd.concat(
             [
                 pd.DataFrame({"s": s, "p": p, "o": o})

@@ -112,6 +112,9 @@ def make_kg(
     spark: SparkSession, name: str, nodes_pdf, triples_pdf
 ) -> KG:
     """Build a :class:`KG` from pandas frames with schema enforcement."""
+    # Python ints and None: without Arrow, nullable Int64 or NaN-holed years would arrive as floats
+    year = nodes_pdf["year"]
+    nodes_pdf = nodes_pdf.assign(year=year.astype("Int64").astype(object).where(year.notna(), None))
     nodes = spark.createDataFrame(nodes_pdf, schema=NODES_SCHEMA)
     triples = spark.createDataFrame(triples_pdf, schema=TRIPLES_SCHEMA)
     return KG(name=name, nodes=nodes, triples=triples)

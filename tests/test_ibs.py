@@ -1,12 +1,21 @@
-"""Influence-based sampling (Algorithm 2): the distributed PPR power
-iteration is verified against a dense numpy reference, then the sampler's
-selection invariants."""
+"""Influence-based sampling (Algorithm 2): the driver-side PPR power
+iteration is verified against a dense numpy reference (fixed graphs and a
+hypothesis property test), its Spark access pattern by counting jobs, the
+sampler's selection set against DuckDB SQL over reference scores, then the
+sampler's selection invariants."""
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from pyspark.sql import functions as F
 
 from repro.core.ibs import ibs_sample, personalized_pagerank
+from repro.core.walks import sample_vertices
+from repro.kg import generator
 from repro.kg.schema import make_kg
+from repro.oracle import assert_equivalent
+from repro.tasks.defs import TASKS, target_vertices
 
 
 @pytest.fixture(scope="module")
@@ -25,20 +34,26 @@ def small_kg(spark):
     kg.unpersist()
 
 
-def _reference_ppr(triples: pd.DataFrame, n: int, seeds: list[int], alpha: float, iters: int) -> np.ndarray:
-    """Dense power iteration on the undirected transition matrix."""
+def _reference_ppr(triples: pd.DataFrame, n: int, seed_rows, alpha: float, iters: int, eps: float = 0.0) -> np.ndarray:
+    """Dense power iteration over all ``n`` vertices on the undirected 0/1
+    adjacency (so a vertex's degree counts distinct neighbours), pruning
+    scores below ``eps`` every round. Each distinct seed id starts with
+    mass ``1 / len(seed_rows)``."""
     A = np.zeros((n, n))
-    for s, o in zip(triples.s, triples.o):
-        A[s, o] = 1.0
-        A[o, s] = 1.0
+    A[triples.s, triples.o] = 1.0
+    A[triples.o, triples.s] = 1.0
     deg = A.sum(axis=1)
-    P = np.divide(A, deg[:, None], out=np.zeros_like(A), where=deg[:, None] > 0)
     p0 = np.zeros(n)
-    p0[seeds] = 1.0 / len(seeds)
+    p0[np.unique(np.asarray(seed_rows, dtype=np.int64))] = 1.0 / max(1, len(seed_rows))
     p = p0.copy()
     for _ in range(iters):
-        p = alpha * p0 + (1 - alpha) * (P.T @ p)
+        p = alpha * p0 + (1 - alpha) * (A @ np.divide(p, deg, out=np.zeros(n), where=deg > 0))
+        p[p < eps] = 0.0
     return p
+
+
+def _ids_frame(spark, ids):
+    return spark.createDataFrame(pd.DataFrame({"id": np.asarray(ids, dtype=np.int64)}), "id long")
 
 
 def test_ppr_matches_dense_reference(spark, small_kg):
@@ -48,6 +63,68 @@ def test_ppr_matches_dense_reference(spark, small_kg):
     got_full = np.zeros(6)
     got_full[got.id.to_numpy()] = got.score.to_numpy()
     np.testing.assert_allclose(got_full, ref, atol=1e-9)
+
+
+@st.composite
+def ppr_cases(draw):
+    """Up to 30 vertices (isolated ones included), triples over 2 relations
+    with self-loops and multi-edges, seed ids that may repeat or lie outside
+    the graph, and ``eps`` either 0 or above 0."""
+    n = draw(st.integers(1, 30))
+    n_triples = draw(st.integers(0, 40))
+    triples = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from("pq"), st.integers(0, n - 1)),
+                            min_size=n_triples, max_size=n_triples))
+    seeds = draw(st.lists(st.integers(0, n + 2), max_size=6))
+    alpha = draw(st.sampled_from([0.15, 0.25, 0.5]))
+    eps = draw(st.sampled_from([0.0, 1e-3, 0.02]))
+    return n, triples, seeds, alpha, eps, draw(st.integers(0, 6))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(ppr_cases())
+def test_ppr_matches_pruned_reference(spark, case):
+    n, triples, seeds, alpha, eps, iters = case
+    nodes = pd.DataFrame({"id": range(n), "ntype": "T", "year": [None] * n})
+    trip = pd.DataFrame(triples, columns=["s", "p", "o"]).astype({"s": "int64", "o": "int64"})
+    kg = make_kg(spark, "prop", nodes, trip)
+    got = personalized_pagerank(kg, _ids_frame(spark, seeds), alpha=alpha, eps=eps, iters=iters).toPandas()
+    ref = _reference_ppr(trip, n + 3, seeds, alpha, iters, eps)  # ids n..n+2 are absent from the KG
+    assert sorted(got.id) == np.flatnonzero(ref).tolist()
+    np.testing.assert_allclose(got.set_index("id").score.sort_index().to_numpy(), ref[ref > 0], rtol=1e-12)
+
+
+def test_ppr_no_seeds_is_empty(spark, small_kg):
+    got = personalized_pagerank(small_kg, _ids_frame(spark, []), eps=0.0, iters=4)
+    assert got.columns == ["id", "score"] and got.count() == 0
+
+
+def test_ppr_isolated_seed_keeps_teleport_mass(spark):
+    """An isolated seed only receives teleport mass: alpha over the number
+    of seed rows, repeated rows counted."""
+    nodes = pd.DataFrame({"id": [0, 1, 2], "ntype": ["T"] * 3, "year": [None] * 3})
+    kg = make_kg(spark, "iso", nodes, pd.DataFrame({"s": [0], "p": ["e"], "o": [1]}))
+    got = personalized_pagerank(kg, _ids_frame(spark, [2, 2, 0]), alpha=0.25, eps=0.0, iters=3).toPandas()
+    assert got.set_index("id").score[2] == 0.25 / 3
+
+
+def test_ppr_jobs_stop_once_frontier_saturates(spark, small_kg):
+    """Spark only fetches the triples of vertices new to the frontier: with
+    ``eps=0`` the frontier covers the connected graph after 5 rounds, so
+    further rounds run no Spark job."""
+    sc = spark.sparkContext
+    seeds = _ids_frame(spark, [0])
+
+    def jobs(iters: int) -> int:
+        group = f"test-ppr-jobs-{iters}"
+        sc.setJobGroup(group, "personalized_pagerank")
+        try:
+            personalized_pagerank(small_kg, seeds, eps=0.0, iters=iters)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+
+    assert jobs(6) == jobs(10) > 0
 
 
 def test_ppr_mass_bounded(spark, small_kg):
@@ -79,14 +156,74 @@ def test_ppr_unreachable_gets_no_mass(spark):
     assert 2 not in set(p.id)
 
 
+def test_ibs_selection_matches_oracle(spark):
+    """KG′'s vertices are the seeds, the scored targets and the ``k·bs``
+    top-scored non-targets (ties by id), from dense reference scores; ``k``
+    is small enough that the top-k cut drops scored non-targets."""
+    task = TASKS["CG/YAGO-30M"]
+    b = generator.generate(task.kg_name, spark, sf=0.05, seed=1)
+    targets = target_vertices(b.kg, task).persist()
+    bs, k, alpha, eps, iters, seed = 25, 2, 0.25, 4e-4, 4, 1
+    nodes = b.kg.nodes.select("id").toPandas()
+    seeds = sample_vertices(targets, bs, seed=seed).toPandas()
+    p = _reference_ppr(b.kg.triples.toPandas(), int(nodes.id.max()) + 1, seeds.id, alpha, iters, eps)
+    scores = pd.DataFrame({"id": np.flatnonzero(p), "score": p[p > 0]})
+    t = targets.toPandas()
+    assert (~scores.id.isin(t.id)).sum() > k * bs
+    sub = ibs_sample(b.kg, targets, bs=bs, k=k, alpha=alpha, eps=eps, iters=iters, seed=seed)
+    assert_equivalent(
+        sub.nodes.select("id"),
+        f"""SELECT id FROM seeds
+            UNION SELECT id FROM scores WHERE id IN (SELECT id FROM t)
+            UNION (SELECT id FROM scores WHERE id NOT IN (SELECT id FROM t)
+                   ORDER BY score DESC, id LIMIT {k * bs})""",
+        seeds=seeds, scores=scores, t=t,
+    )
+    targets.unpersist()
+    b.unpersist()
+
+
+def test_ibs_top_k_ties_break_by_id(spark):
+    """A target with five leaves: the leaves score the same, so the
+    ``k·bs = 2`` cut keeps the two smallest ids."""
+    nodes = pd.DataFrame({"id": range(6), "ntype": ["T"] + ["U"] * 5, "year": [None] * 6})
+    kg = make_kg(spark, "star", nodes, pd.DataFrame({"s": [0] * 5, "p": ["e"] * 5, "o": [5, 3, 1, 4, 2]}))
+    sub = ibs_sample(kg, _ids_frame(spark, [0]), bs=1, k=2, eps=0.0, iters=3)
+    assert sorted(r.id for r in sub.nodes.collect()) == [0, 1, 2]
+
+
+def test_generate_and_ibs_without_arrow(spark):
+    """With Arrow off, every generator builds the same KG as with Arrow on
+    (untimed years stay null), and IBS builds its id frames on that path."""
+    key = "spark.sql.execution.arrow.pyspark.enabled"
+    before = spark.conf.get(key)
+
+    def nodes_of(name):
+        b = generator.generate(name, spark, sf=0.02, seed=1)
+        rows = sorted(tuple(r) for r in b.kg.nodes.collect())
+        b.unpersist()
+        return rows
+
+    with_arrow = {name: nodes_of(name) for name in generator.GENERATORS}
+    spark.conf.set(key, "false")
+    try:
+        assert {name: nodes_of(name) for name in generator.GENERATORS} == with_arrow
+        task = TASKS["CG/YAGO-30M"]
+        kg = generator.generate(task.kg_name, spark, sf=0.02, seed=1).kg
+        targets = target_vertices(kg, task)
+        sub = ibs_sample(kg, targets, bs=5, k=4, iters=2, seed=1)
+        assert sub.nodes.join(targets, "id", "semi").count() >= 5
+        assert sub.nodes.where(F.col("year").isNotNull()).count() > 0
+    finally:
+        spark.conf.set(key, before)
+
+
 def test_ibs_contains_seed_targets(mag_bundle, mag_pv_targets):
     sub = ibs_sample(mag_bundle.kg, mag_pv_targets, bs=20, k=8, iters=5, seed=3)
     assert sub.nodes.join(mag_pv_targets, "id", "semi").count() >= 20
 
 
 def test_ibs_subgraph_is_induced(mag_bundle, mag_pv_targets):
-    from repro.oracle import assert_equivalent
-
     sub = ibs_sample(mag_bundle.kg, mag_pv_targets, bs=15, k=8, iters=5, seed=4)
     assert_equivalent(
         sub.triples,
@@ -106,7 +243,5 @@ def test_ibs_neighbour_budget(mag_bundle, mag_pv_targets):
 
 
 def test_ibs_excludes_noise(mag_bundle, mag_pv_targets):
-    from pyspark.sql import functions as F
-
     sub = ibs_sample(mag_bundle.kg, mag_pv_targets, bs=15, k=8, iters=5, seed=6)
     assert sub.nodes.where(F.col("ntype").startswith("magN")).count() == 0
