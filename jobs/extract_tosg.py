@@ -14,8 +14,7 @@ from repro.kg.partition import build_index
 from repro.kg.stats import kg_stats
 from repro.metrics.sufficiency import sufficiency_stats
 from repro.tasks.defs import TASKS, target_vertices
-
-from _session import get_session
+from repro.session import get_session
 
 if __name__ == "__main__":
     key = sys.argv[1] if len(sys.argv) > 1 else "PV/MAG-42M"

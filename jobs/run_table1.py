@@ -5,8 +5,7 @@ Usage: spark-submit jobs/run_table1.py [sf]
 import sys
 
 from repro.bench.tables import table1, to_markdown
-
-from _session import get_session
+from repro.session import get_session
 
 if __name__ == "__main__":
     sf = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0

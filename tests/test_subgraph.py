@@ -1,8 +1,17 @@
 """Induced-subgraph and triple-union subgraph builders — the
-``extractSubgraph`` primitive of Algorithms 1/2 — oracle-checked."""
+``extractSubgraph`` primitive of Algorithms 1/2 — oracle-checked, with the
+induced subgraph's access path (broadcast semi-joins over the KG scans) and
+its independence from persistence and partition settings asserted."""
+import re
+
+import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.subgraph import from_triples, induced_subgraph, materialize
+from repro.kg.schema import make_kg
+from repro.metrics.topology import avg_distance_to_targets
 from repro.oracle import assert_equivalent
 
 
@@ -70,3 +79,112 @@ def test_induced_subgraph_of_everything_is_identity(mag_bundle):
     sub = induced_subgraph(mag_bundle.kg, mag_bundle.kg.nodes.select("id"))
     assert sub.triples.count() == mag_bundle.kg.triples.count()
     assert sub.nodes.count() == mag_bundle.kg.nodes.count()
+
+
+def _streamed_path(df) -> list[str]:
+    """One line per operator of ``df``'s executed plan, from the root down
+    the first (streamed) child of each operator to the leaf scan. Adaptive
+    query stages are looked through; a cached input's own plan is not."""
+    df.collect()  # the final adaptive plan exists once the query has run
+    node, path = df._jdf.queryExecution().executedPlan(), []
+    while True:
+        name = node.nodeName()
+        if name == "AdaptiveSparkPlan":
+            node = node.executedPlan()
+        elif name.endswith("QueryStage"):
+            node = node.plan()
+        else:
+            path.append(node.simpleString(10))
+            if node.children().isEmpty():
+                return path
+            node = node.children().apply(0)
+
+
+def test_induced_subgraph_probes_the_kg_in_place(mag_bundle, vset):
+    """Triples and vertex rows are broadcast semi-joins straight over the
+    KG's scans, and neither plan shuffles: the KG stays where it lies."""
+    sub = induced_subgraph(mag_bundle.kg, vset)
+    trip, nodes = _streamed_path(sub.triples), _streamed_path(sub.nodes)
+    # the KG's own scans, cached or not (an identical KG built and unpersisted elsewhere uncaches it)
+    assert re.fullmatch(r"\w*TableScan \[s#\d+L, p#\d+, o#\d+L\]", trip[-1])
+    assert re.fullmatch(r"\w*TableScan \[id#\d+L, ntype#\d+, year#\d+\]", nodes[-1])
+    assert sum(op.startswith("BroadcastHashJoin") and "LeftSemi" in op for op in trip) == 2
+    assert sum(op.startswith("BroadcastHashJoin") and "LeftSemi" in op for op in nodes) == 1
+    assert not any(op.startswith("Exchange") for op in trip + nodes)
+
+
+def test_induced_subgraph_independent_of_persistence(spark, mag_bundle, mag_d1h1, mag_pv_targets):
+    """The same vertex rows, in the same order, and so the same sampled
+    distance, whether KG' is persisted or not and whatever the shuffle
+    partition count was when it was; a persisted KG' keeps one vertex
+    partition and the KG's triple partitioning."""
+    kg = mag_bundle.kg
+    v = spark.createDataFrame(mag_d1h1.nodes.select("id").toPandas(), "id long")  # as the samplers pass it
+    plain = induced_subgraph(kg, v)
+    # before the persisted copy exists: Spark would answer the same plan from it
+    rows, d = plain.nodes.toPandas(), avg_distance_to_targets(plain, mag_pv_targets, n_sources=3)
+    conf = "spark.sql.shuffle.partitions"
+    before = spark.conf.get(conf)
+    spark.conf.set(conf, "7")
+    try:
+        kept = materialize(induced_subgraph(kg, v))
+    finally:
+        spark.conf.set(conf, before)
+    try:
+        assert kept.nodes.rdd.getNumPartitions() == 1
+        assert kept.triples.rdd.getNumPartitions() == kg.triples.rdd.getNumPartitions()
+        pd.testing.assert_frame_equal(rows, kept.nodes.toPandas())
+        assert d == d and d == avg_distance_to_targets(kept, mag_pv_targets, n_sources=3)
+    finally:
+        kept.unpersist()
+
+
+@st.composite
+def kgs_and_vertex_sets(draw):
+    """Up to 30 vertices (the last one always isolated) and up to 40 triples
+    over 2 relations, with a self-loop, an exact duplicate and a second
+    relation on one vertex pair; a vertex set that repeats ids and may hold
+    ids absent from the KG (100-102)."""
+
+    def sized(elements, most, **kw):
+        # a size uniform in [0, most]; hypothesis's own list sizes lean small
+        n = draw(st.integers(0, most))
+        return draw(st.lists(elements, min_size=n, max_size=n, **kw))
+
+    ids = sized(st.integers(0, 99), 30, unique=True)
+    nodes = [(v, draw(st.sampled_from("ABC")), draw(st.none() | st.integers(1990, 2020))) for v in ids]
+    triples = []
+    if len(ids) > 1:
+        triples = sized(st.tuples(st.sampled_from(ids[:-1]), st.sampled_from("pq"), st.sampled_from(ids[:-1])), 37)
+    if triples:
+        s, p, o = triples[0]
+        triples += [(s, p, s), (s, p, o), (s, "q" if p == "p" else "p", o)]
+    chosen = sized(st.sampled_from(ids) | st.integers(100, 102) if ids else st.integers(100, 102), 12)
+    return nodes, triples, chosen + chosen[: len(chosen) // 2]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(kgs_and_vertex_sets())
+@example(([(0, "A", None), (1, "B", 2000)], [(0, "p", 1), (0, "p", 0)], []))
+def test_induced_subgraph_matches_sql_in(spark, case):
+    nodes, triples, chosen = case
+    kg = make_kg(
+        spark,
+        "prop",
+        pd.DataFrame(nodes, columns=["id", "ntype", "year"]).astype({"id": "int64", "ntype": "object"}),
+        pd.DataFrame(triples, columns=["s", "p", "o"]).astype({"s": "int64", "p": "object", "o": "int64"}),
+    )
+    v = pd.DataFrame({"id": pd.Series(chosen, dtype="int64")})
+    sub = induced_subgraph(kg, spark.createDataFrame(v, "id long"))
+    assert_equivalent(
+        sub.triples,
+        "SELECT s, p, o FROM t WHERE s IN (SELECT id FROM v) AND o IN (SELECT id FROM v)",
+        t=kg.triples,
+        v=v,
+    )
+    assert_equivalent(
+        sub.nodes,
+        "SELECT id, ntype, year FROM n WHERE id IN (SELECT id FROM v)",
+        n=kg.nodes,
+        v=v,
+    )
