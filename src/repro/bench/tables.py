@@ -141,6 +141,35 @@ def t3_params(sf: float) -> dict:
     return dict(bs=bs, walk_h=3, ibs_k=16, alpha=0.25, eps=0.01 / bs, iters=8)
 
 
+N_ACC_SEEDS = 3  # accuracy columns are seed-averaged (small test splits)
+
+
+def _task_bundles(spark: SparkSession, keys, sf: float):
+    """Yield ``(key, task, bundle)`` for each task key, generating each KG
+    once on first use; every bundle is unpersisted after the last task."""
+    by_kg: dict[str, object] = {}
+    for key in keys:
+        task = TASKS[key]
+        if task.kg_name not in by_kg:
+            by_kg[task.kg_name] = generator.generate(task.kg_name, spark, sf=sf)
+        yield key, task, by_kg[task.kg_name]
+    for b in by_kg.values():
+        b.unpersist()
+
+
+def _seed_averaged_acc(enc, sampler: str, seed: int, tp: dict) -> tuple[float, dict, float, float]:
+    """SAINT test accuracy averaged over seeds ``seed … seed+N_ACC_SEEDS−1``
+    (the paper also reports the average of three runs per method, §V-A.3).
+    The first run is timed and tracemalloc-measured; its result, seconds
+    and peak MB are returned alongside for Table IV's cost columns."""
+    first, train_s, train_mb = measured(train_saint, enc, sampler=sampler, seed=seed, **tp)
+    accs = [first["accuracy"]["test"]] + [
+        train_saint(enc, sampler=sampler, seed=seed + s, **tp)["accuracy"]["test"]
+        for s in range(1, N_ACC_SEEDS)
+    ]
+    return float(np.mean(accs)), first, train_s, train_mb
+
+
 # ---------------------------------------------------------------------------
 # Table I
 # ---------------------------------------------------------------------------
@@ -176,11 +205,7 @@ def table1(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
 def table2(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
     """Task summary with *measured* split ratios from our splitters."""
     rows = []
-    by_kg: dict[str, object] = {}
-    for key, task in TASKS.items():
-        if task.kg_name not in by_kg:
-            by_kg[task.kg_name] = generator.generate(task.kg_name, spark, sf=sf)
-        bundle = by_kg[task.kg_name]
+    for key, task, bundle in _task_bundles(spark, TASKS, sf):
         frame = nc_frame(bundle, task) if task.tt == "NC" else lp_frame(bundle, task)
         frac = split_fractions(frame)
         rows.append(
@@ -194,8 +219,6 @@ def table2(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
                 "paper_Ratio": PAPER_TABLE2[key],
             }
         )
-    for b in by_kg.values():
-        b.unpersist()
     return pd.DataFrame(rows)
 
 
@@ -204,19 +227,6 @@ def table2(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 T3_TASKS = ["CG/YAGO-30M", "PC/YAGO-30M", "PV/DBLP-15M", "PV/MAG-42M"]
-
-N_ACC_SEEDS = 3  # accuracy columns are seed-averaged (small test splits)
-
-
-def _mean_test_acc(enc, sampler: str, seed: int, tp: dict) -> float:
-    return float(
-        np.mean(
-            [
-                train_saint(enc, sampler=sampler, seed=seed + s, **tp)["accuracy"]["test"]
-                for s in range(N_ACC_SEEDS)
-            ]
-        )
-    )
 
 
 def _quality(kgp, targets) -> dict:
@@ -239,12 +249,7 @@ def table3(spark: SparkSession, *, sf: float = 1.0, with_accuracy: bool = True, 
     """
     p = t3_params(sf)
     rows = []
-    by_kg: dict[str, object] = {}
-    for key in T3_TASKS:
-        task = TASKS[key]
-        if task.kg_name not in by_kg:
-            by_kg[task.kg_name] = generator.generate(task.kg_name, spark, sf=sf)
-        bundle = by_kg[task.kg_name]
+    for key, task, bundle in _task_bundles(spark, T3_TASKS, sf):
         kg = bundle.kg
         targets = target_vertices(kg, task).persist()
         index = build_index(kg)
@@ -270,11 +275,11 @@ def table3(spark: SparkSession, *, sf: float = 1.0, with_accuracy: bool = True, 
             frame = nc_frame(bundle, task)
             tp = _train_params(sf)
             enc_fg = encode_nc(kg, frame, n_classes=task.n_classes)
-            acc["RW"] = _mean_test_acc(enc_fg, "urw", seed, tp)
-            acc["BRW"] = _mean_test_acc(enc_fg, "brw", seed, tp)
+            acc["RW"] = _seed_averaged_acc(enc_fg, "urw", seed, tp)[0]
+            acc["BRW"] = _seed_averaged_acc(enc_fg, "brw", seed, tp)[0]
             for m in ("IBS", "d1h1"):
                 enc = encode_nc(subgraphs[m], frame, n_classes=task.n_classes)
-                acc[m] = _mean_test_acc(enc, "urw", seed, tp)
+                acc[m] = _seed_averaged_acc(enc, "urw", seed, tp)[0]
 
         paper = PAPER_TABLE3[key]
         for m, kgp in subgraphs.items():
@@ -298,8 +303,6 @@ def table3(spark: SparkSession, *, sf: float = 1.0, with_accuracy: bool = True, 
             kgp.unpersist()
         index.unpersist()
         targets.unpersist()
-    for b in by_kg.values():
-        b.unpersist()
     return pd.DataFrame(rows)
 
 
@@ -312,19 +315,10 @@ def _run_pipeline(kgp, frame, task, *, sf: float, seed: int, row: dict, prefix: 
     tp = _train_params(sf)
     with timed(row, f"{prefix}_transform_s"):
         enc = encode_nc(kgp, frame, n_classes=task.n_classes)
-    result, train_s, train_mb = measured(
-        train_saint, enc, sampler="urw", seed=seed, **tp
-    )
+    acc, result, train_s, train_mb = _seed_averaged_acc(enc, "urw", seed, tp)
     row[f"{prefix}_train_s"] = train_s
     row[f"{prefix}_mem_mb"] = train_mb
-    # timing/memory from the measured run; accuracy seed-averaged (the
-    # paper also reports the average of three runs per method, §V-A.3)
-    extra = [
-        train_saint(enc, sampler="urw", seed=seed + 1 + s, **tp)["accuracy"]["test"]
-        for s in range(N_ACC_SEEDS - 1)
-    ]
-    accs = [result["accuracy"]["test"], *extra]
-    row[f"{prefix}_acc"] = round(100 * float(np.mean(accs)), 2)
+    row[f"{prefix}_acc"] = round(100 * acc, 2)
     row[f"{prefix}_params"] = result["n_params"]
     model: RGCN = result["model"]
     with timed(row, f"{prefix}_infer_s"):
@@ -336,11 +330,7 @@ def table4(spark: SparkSession, *, sf: float = 1.0, seed: int = 0) -> pd.DataFra
     extraction time, transformation time, training time, total, accuracy,
     model size, inference time, training memory."""
     rows = []
-    by_kg: dict[str, object] = {}
-    for key, task in NC_TASKS.items():
-        if task.kg_name not in by_kg:
-            by_kg[task.kg_name] = generator.generate(task.kg_name, spark, sf=sf)
-        bundle = by_kg[task.kg_name]
+    for key, task, bundle in _task_bundles(spark, NC_TASKS, sf):
         kg = bundle.kg
         frame = nc_frame(bundle, task).persist()
         row: dict = {"task": key}
@@ -365,17 +355,15 @@ def table4(spark: SparkSession, *, sf: float = 1.0, seed: int = 0) -> pd.DataFra
         kgp.unpersist()
         index.unpersist()
         frame.unpersist()
-    for b in by_kg.values():
-        b.unpersist()
     return pd.DataFrame(rows)
 
 
-def to_markdown(df: pd.DataFrame, *, floatfmt: str = ".2f") -> str:
+def to_markdown(df: pd.DataFrame) -> str:
     """Render a harness frame as a GitHub markdown table."""
     d = df.copy()
     for c in d.columns:
         if d[c].dtype == float:
-            d[c] = d[c].map(lambda v: "" if pd.isna(v) else format(v, floatfmt))
+            d[c] = d[c].map(lambda v: "" if pd.isna(v) else f"{v:.2f}")
     header = "| " + " | ".join(map(str, d.columns)) + " |"
     sep = "|" + "|".join(["---"] * len(d.columns)) + "|"
     body = ["| " + " | ".join(map(str, r)) + " |" for r in d.itertuples(index=False)]

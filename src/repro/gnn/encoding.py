@@ -76,9 +76,7 @@ def _norm(dst: np.ndarray) -> np.ndarray:
     return 1.0 / cnt[inv]
 
 
-def encode_nc(
-    kgp: KG, labelled: DataFrame, *, n_classes: int, add_reverse: bool = True
-) -> EncodedGraph:
+def encode_nc(kgp: KG, labelled: DataFrame, *, n_classes: int) -> EncodedGraph:
     """Encode a graph plus an NC task's ``(id, label, split)`` frame.
 
     Each relation also gets an inverse relation (``p_rev``) so messages
@@ -105,9 +103,8 @@ def encode_nc(
         dst = pos[sub.o.to_numpy()].to_numpy()
         rel_names.append(p)
         edges.append(RelEdges(src=src, dst=dst, norm=_norm(dst)))
-        if add_reverse:
-            rel_names.append(f"{p}_rev")
-            edges.append(RelEdges(src=dst, dst=src, norm=_norm(src)))
+        rel_names.append(f"{p}_rev")
+        edges.append(RelEdges(src=dst, dst=src, norm=_norm(src)))
 
     labels = np.full(len(node_ids), -1, dtype=np.int64)
     masks = {s: np.zeros(len(node_ids), dtype=bool) for s in ("train", "valid", "test")}

@@ -63,19 +63,17 @@ def train_saint(
     dim: int = 32,
     lr: float = 1e-2,
     seed: int = 0,
-    record_curve: bool = False,
 ) -> dict:
     """Mini-batch training; ``sampler`` is "urw" (uniform roots) or "brw"
-    (roots drawn from labelled training targets). Returns final split
-    accuracies, loss history and (optionally) a per-epoch test-accuracy
-    curve (the convergence analysis of the paper's Fig. 9)."""
+    (roots drawn from labelled training targets). Returns the model, final
+    split accuracies and the per-epoch loss history."""
     if sampler not in ("urw", "brw"):
         raise ValueError(f"unknown sampler {sampler!r}")
     rng = np.random.default_rng(seed)
     model = RGCN(enc, dim=dim, seed=seed)
     train_idx = np.flatnonzero(enc.masks["train"])
     root_pool = np.arange(enc.n_nodes) if sampler == "urw" else train_idx
-    history, curve = [], []
+    history = []
     for _ in range(epochs):
         roots = rng.choice(root_pool, min(roots_per_epoch, len(root_pool)), replace=False)
         nodes = _walk_sample(enc, roots, walk_h, rng)
@@ -85,19 +83,14 @@ def train_saint(
         batch_idx = train_idx[in_sample[train_idx]]
         if len(batch_idx) == 0:
             history.append(float("nan"))
-            if record_curve:
-                curve.append(model.accuracy("test"))
             continue
         loss, grads = model.loss_and_grads(batch_idx, edges=edges)
         model.adam_step(grads, lr=lr)
         history.append(loss)
-        if record_curve:
-            curve.append(model.accuracy("test"))
     logits = model.forward()
     return {
         "model": model,
         "loss_history": history,
-        "curve": curve,
         "accuracy": {s: model.accuracy(s, logits) for s in ("train", "valid", "test")},
         "n_params": model.n_params,
     }

@@ -18,7 +18,7 @@ depend on (see DESIGN.md §4.1):
 
 ``sf=1.0`` is "bench-lite" scale, ≈1/1000 of the paper's graphs (YAGO3-10
 ÷10; YAGO/DBLP edge density additionally reduced ≈2×). Unit tests use
-``sf=0.1``; benchmarks use ``sf=1.0``. Generators are deterministic in
+``sf=0.1``; the table harnesses use ``sf=1.0``. Generators are deterministic in
 ``seed``.
 """
 from __future__ import annotations
@@ -30,8 +30,12 @@ from pyspark.sql import types as T
 
 from repro.kg.schema import KG, KGBundle, make_kg
 
-# Observed label = latent class with this probability (per task).
+# Years of timed (target) nodes are uniform in [_YEAR_LO, _YEAR_HI).
 _YEAR_LO, _YEAR_HI = 1990, 2021
+# Noise components: node types per component, and the Zipf exponent of
+# their edges' destinations (hub nodes).
+_NOISE_TYPES_PER_COMP = 2
+_NOISE_SKEW = 0.8
 
 
 def _scale(n: int, sf: float, lo: int = 2) -> int:
@@ -122,15 +126,13 @@ class GraphBuilder:
         n_preds: int,
         total_nodes: int,
         total_edges: int,
-        *,
-        types_per_comp: int = 2,
-        skew: float = 0.8,
     ) -> None:
         """Task-irrelevant components: ``n_types`` node types grouped into
-        components of ``types_per_comp`` types each; ``n_preds`` predicates
-        distributed round-robin over components; edges stay inside their
-        component so the noise is disconnected from the task core."""
-        n_comp = max(1, (n_types + types_per_comp - 1) // types_per_comp)
+        components of ``_NOISE_TYPES_PER_COMP`` types each; ``n_preds``
+        predicates distributed round-robin over components; edges stay
+        inside their component so the noise is disconnected from the task
+        core."""
+        n_comp = max(1, (n_types + _NOISE_TYPES_PER_COMP - 1) // _NOISE_TYPES_PER_COMP)
         per_type = max(2, total_nodes // max(1, n_types))
         comp_nodes: list[list[np.ndarray]] = [[] for _ in range(n_comp)]
         for t in range(n_types):
@@ -141,11 +143,8 @@ class GraphBuilder:
         for pidx in range(n_preds):
             comp = comps[pidx % len(comps)]
             src = self.rng.choice(comp, per_pred)
-            if skew > 0:
-                w = 1.0 / np.arange(1, len(comp) + 1) ** skew
-                dst = self.rng.choice(comp, per_pred, p=w / w.sum())
-            else:
-                dst = self.rng.choice(comp, per_pred)
+            w = 1.0 / np.arange(1, len(comp) + 1) ** _NOISE_SKEW
+            dst = self.rng.choice(comp, per_pred, p=w / w.sum())
             self.add_edges(f"{prefix}_p{pidx}", src, dst)
 
     def latent_classes(self, ids: np.ndarray, n_classes: int) -> np.ndarray:
@@ -409,7 +408,7 @@ def yago3_10(spark: SparkSession, *, sf: float = 1.0, seed: int = 23) -> KGBundl
     b.connect("locatedIn", orgs, cities, 1.0)
     b.connect("happenedIn", events, cities, 1.0)
 
-    b.add_noise("y3N", 12, 20, _scale(1000, sf), _scale(9000, sf), types_per_comp=2)
+    b.add_noise("y3N", 12, 20, _scale(1000, sf), _scale(9000, sf))
 
     kg = b.build(spark, "YAGO3-10-lite").persist()
     return KGBundle(kg=kg, labels={})

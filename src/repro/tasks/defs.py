@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.kg.schema import KG, KGBundle
+from repro.kg.schema import KG
 
 
 @dataclass(frozen=True)
@@ -66,18 +66,12 @@ def target_vertices(kg: KG, task: Task) -> DataFrame:
     """
     if task.tt == "NC":
         return kg.vertices_of_type(task.target_type)
-    pt = kg.triples.where(F.col("p") == task.predicate)
+    pt = lp_triples(kg, task)
     return (
         pt.select(F.col("s").alias("id"))
         .unionByName(pt.select(F.col("o").alias("id")))
         .distinct()
     )
-
-
-def nc_labels(bundle: KGBundle, task: Task) -> DataFrame:
-    """Ground-truth ``(id, label)`` for an NC task."""
-    assert task.tt == "NC" and task.label_key is not None
-    return bundle.labels[task.label_key]
 
 
 def lp_triples(kg: KG, task: Task) -> DataFrame:

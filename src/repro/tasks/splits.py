@@ -15,7 +15,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.tasks.defs import Task
+from repro.tasks.defs import Task, lp_triples
 
 SPLITS = ("train", "valid", "test")
 
@@ -30,9 +30,9 @@ def _assign(df: DataFrame, frac_col: str, ratios: tuple[float, float, float]) ->
     ).drop(frac_col)
 
 
-def time_split(df: DataFrame, ratios: tuple[float, float, float], *, year_col: str = "year", id_col: str = "id") -> DataFrame:
+def time_split(df: DataFrame, ratios: tuple[float, float, float], *, id_col: str = "id") -> DataFrame:
     """Split by time: rank rows by (year, id) and cut at the ratio points."""
-    w = Window.orderBy(F.col(year_col).asc_nulls_last(), F.col(id_col))
+    w = Window.orderBy(F.col("year").asc_nulls_last(), F.col(id_col))
     ranked = df.withColumn("_frac", F.percent_rank().over(w))
     return _assign(ranked, "_frac", ratios)
 
@@ -51,38 +51,26 @@ def random_split(
     return _assign(ranked, "_frac", ratios)
 
 
-def split_nc(labels_with_year: DataFrame, task: Task, *, seed: int = 7) -> DataFrame:
-    """Split an NC task's ``(id, label, year)`` frame per its Table II row."""
-    if task.split == "time":
-        return time_split(labels_with_year, task.ratios)
-    return random_split(labels_with_year, task.ratios, label_col="label", seed=seed)
-
-
-def split_lp(triples_with_year: DataFrame, task: Task, *, seed: int = 7) -> DataFrame:
-    """Split an LP task's ``(s, p, o, year)`` frame (year = subject's)."""
-    if task.split == "time":
-        return time_split(triples_with_year, task.ratios, id_col="s")
-    return random_split(triples_with_year, task.ratios, seed=seed)
-
-
 def nc_frame(bundle, task: Task, *, seed: int = 7) -> DataFrame:
     """Full NC supervision frame ``(id, label, year, split)`` for a task:
     ground-truth labels joined with target-node years, split per Table II."""
     labels = bundle.labels[task.label_key]
     with_year = labels.join(bundle.kg.nodes.select("id", "year"), "id")
-    return split_nc(with_year, task, seed=seed)
+    if task.split == "time":
+        return time_split(with_year, task.ratios)
+    return random_split(with_year, task.ratios, label_col="label", seed=seed)
 
 
 def lp_frame(bundle, task: Task, *, seed: int = 7) -> DataFrame:
     """Full LP frame ``(s, p, o, year, split)``: the task predicate's
     triples with the subject's year, split per Table II."""
-    from repro.tasks.defs import lp_triples
-
     pt = lp_triples(bundle.kg, task)
     with_year = pt.join(
         bundle.kg.nodes.select(F.col("id").alias("s"), "year"), "s"
     )
-    return split_lp(with_year, task, seed=seed)
+    if task.split == "time":
+        return time_split(with_year, task.ratios, id_col="s")
+    return random_split(with_year, task.ratios, seed=seed)
 
 
 def split_fractions(split_df: DataFrame) -> dict[str, float]:

@@ -64,11 +64,6 @@ def test_brw_batches_have_more_supervision_than_urw(enc):
     assert n_sup_brw == 15
 
 
-def test_curve_recording(enc):
-    r = train_saint(enc, sampler="urw", epochs=5, roots_per_epoch=30, dim=8, record_curve=True)
-    assert len(r["curve"]) == 5
-
-
 def test_deterministic_in_seed(enc):
     a = train_saint(enc, sampler="brw", epochs=8, roots_per_epoch=30, dim=8, seed=9)
     b = train_saint(enc, sampler="brw", epochs=8, roots_per_epoch=30, dim=8, seed=9)

@@ -102,12 +102,12 @@ def _streamed_path(df) -> list[str]:
 
 def test_induced_subgraph_probes_the_kg_in_place(mag_bundle, vset):
     """Triples and vertex rows are broadcast semi-joins straight over the
-    KG's scans, and neither plan shuffles: the KG stays where it lies."""
+    KG's cached scans, and neither plan shuffles: the KG stays where it
+    lies."""
     sub = induced_subgraph(mag_bundle.kg, vset)
     trip, nodes = _streamed_path(sub.triples), _streamed_path(sub.nodes)
-    # the KG's own scans, cached or not (an identical KG built and unpersisted elsewhere uncaches it)
-    assert re.fullmatch(r"\w*TableScan \[s#\d+L, p#\d+, o#\d+L\]", trip[-1])
-    assert re.fullmatch(r"\w*TableScan \[id#\d+L, ntype#\d+, year#\d+\]", nodes[-1])
+    assert re.fullmatch(r"InMemoryTableScan \[s#\d+L, p#\d+, o#\d+L\]", trip[-1])
+    assert re.fullmatch(r"InMemoryTableScan \[id#\d+L, ntype#\d+, year#\d+\]", nodes[-1])
     assert sum(op.startswith("BroadcastHashJoin") and "LeftSemi" in op for op in trip) == 2
     assert sum(op.startswith("BroadcastHashJoin") and "LeftSemi" in op for op in nodes) == 1
     assert not any(op.startswith("Exchange") for op in trip + nodes)
