@@ -9,10 +9,14 @@ import sys
 from repro.bench.tables import table1, table2, table3, table4, to_markdown
 from repro.session import get_session
 
+TABLES = {"1": table1, "2": table2, "3": table3, "4": table4}
+
 if __name__ == "__main__":
-    n = int(sys.argv[1])
+    if len(sys.argv) < 2 or sys.argv[1] not in TABLES:
+        print("usage: run_table.py N [sf]   (N in 1..4, sf default 1.0)", file=sys.stderr)
+        sys.exit(2)
+    n = sys.argv[1]
     sf = float(sys.argv[2]) if len(sys.argv) > 2 else 1.0
-    table = {1: table1, 2: table2, 3: table3, 4: table4}[n]
     spark = get_session(f"table{n}")
-    print(to_markdown(table(spark, sf=sf)))
+    print(to_markdown(TABLES[n](spark, sf=sf)))
     spark.stop()

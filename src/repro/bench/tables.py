@@ -23,7 +23,6 @@ from repro.core.sparql_extract import extract_tosg
 from repro.core.subgraph import materialize
 from repro.core.urw import urw_sample
 from repro.gnn.encoding import encode_nc
-from repro.gnn.rgcn import RGCN
 from repro.gnn.saint import train_saint
 from repro.kg import generator
 from repro.kg.partition import build_index
@@ -320,9 +319,8 @@ def _run_pipeline(kgp, frame, task, *, sf: float, seed: int, row: dict, prefix: 
     row[f"{prefix}_mem_mb"] = train_mb
     row[f"{prefix}_acc"] = round(100 * acc, 2)
     row[f"{prefix}_params"] = result["n_params"]
-    model: RGCN = result["model"]
     with timed(row, f"{prefix}_infer_s"):
-        model.forward()
+        result["model"].forward()
 
 
 def table4(spark: SparkSession, *, sf: float = 1.0, seed: int = 0) -> pd.DataFrame:

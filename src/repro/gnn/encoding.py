@@ -38,10 +38,14 @@ class EncodedGraph:
     labels: np.ndarray  # -1 for unlabelled vertices
     masks: dict[str, np.ndarray]  # split -> bool array
     n_classes: int
-    # True for supervised-type vertices: their input embeddings are frozen
-    # at zero so the model must classify from relational context instead of
-    # memorizing per-node identity (the role node features play in OGB).
-    target_mask: np.ndarray | None = None
+
+    @property
+    def target_mask(self) -> np.ndarray:
+        """True for supervised-type (labelled) vertices: their input
+        embeddings are frozen at zero so the model must classify from
+        relational context instead of memorizing per-node identity (the
+        role node features play in OGB)."""
+        return self.labels >= 0
 
     @property
     def n_nodes(self) -> int:
@@ -121,7 +125,6 @@ def encode_nc(kgp: KG, labelled: DataFrame, *, n_classes: int) -> EncodedGraph:
         labels=labels,
         masks=masks,
         n_classes=n_classes,
-        target_mask=labels >= 0,
     )
 
 
@@ -164,7 +167,7 @@ def encode_lp(kgp: KG, task_predicate: str, split_triples: DataFrame) -> Encoded
     held = sp[sp.split != "train"]
     held_keys = set(zip(held.s.to_numpy(), held.o.to_numpy()))
     is_task = trip.p == task_predicate
-    drop = is_task & trip.apply(lambda r: (r.s, r.o) in held_keys, axis=1) if len(held_keys) else pd.Series(False, index=trip.index)
+    drop = is_task & pd.MultiIndex.from_arrays([trip.s, trip.o]).isin(held_keys)
     kept = trip[~drop]
 
     all_triples = np.stack(

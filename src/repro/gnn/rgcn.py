@@ -74,8 +74,7 @@ class RGCN:
         # Supervised-type vertices carry no free identity embedding (frozen
         # at zero): classification must come from aggregated neighbour
         # context, as with featureful target nodes in OGB datasets.
-        if self.enc.target_mask is not None:
-            self.params["E"][self.enc.target_mask] = 0.0
+        self.params["E"][self.enc.target_mask] = 0.0
         self._adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._adam_t = 0
@@ -85,13 +84,16 @@ class RGCN:
         """Table IV "Model Size (#Params)"."""
         return int(sum(v.size for v in self.params.values()))
 
-    def forward(self, edges: list[RelEdges] | None = None) -> np.ndarray:
-        """Logits for every vertex (used for inference timing too)."""
-        e = self.enc.edges if edges is None else edges
+    def _layers(self, edges: list[RelEdges]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The two-layer forward pass: pre-activation, hidden and logits."""
         p = self.params
-        a1 = _agg(p["E"], p["W1s"], p["W1r"], e)
+        a1 = _agg(p["E"], p["W1s"], p["W1r"], edges)
         h1 = np.maximum(a1, 0.0)
-        return _agg(h1, p["W2s"], p["W2r"], e)
+        return a1, h1, _agg(h1, p["W2s"], p["W2r"], edges)
+
+    def forward(self) -> np.ndarray:
+        """Logits for every vertex (used for inference timing too)."""
+        return self._layers(self.enc.edges)[2]
 
     def loss_and_grads(
         self, mask_idx: np.ndarray, edges: list[RelEdges] | None = None
@@ -99,9 +101,7 @@ class RGCN:
         """Softmax cross-entropy on ``mask_idx`` + exact gradients."""
         e = self.enc.edges if edges is None else edges
         p = self.params
-        a1 = _agg(p["E"], p["W1s"], p["W1r"], e)
-        h1 = np.maximum(a1, 0.0)
-        logits = _agg(h1, p["W2s"], p["W2r"], e)
+        a1, h1, logits = self._layers(e)
 
         y = self.enc.labels[mask_idx]
         z = logits[mask_idx]
@@ -119,13 +119,13 @@ class RGCN:
         dh1, dW2s, dW2r = _agg_bwd(h1, p["W2s"], p["W2r"], e, dlogits)
         da1 = dh1 * (a1 > 0)
         dE, dW1s, dW1r = _agg_bwd(p["E"], p["W1s"], p["W1r"], e, da1)
-        if self.enc.target_mask is not None:
-            dE[self.enc.target_mask] = 0.0
+        dE[self.enc.target_mask] = 0.0
         return loss, {"E": dE, "W1s": dW1s, "W1r": dW1r, "W2s": dW2s, "W2r": dW2r}
 
-    def adam_step(self, grads: dict, lr: float = 1e-2, b1: float = 0.9, b2: float = 0.999):
+    def adam_step(self, grads: dict, lr: float = 1e-2):
         self._adam_t += 1
         t = self._adam_t
+        b1, b2 = 0.9, 0.999  # moment decay rates (Kingma & Ba's defaults)
         for k, g in grads.items():
             m = self._adam_m[k] = b1 * self._adam_m[k] + (1 - b1) * g
             v = self._adam_v[k] = b2 * self._adam_v[k] + (1 - b2) * g * g
@@ -142,26 +142,3 @@ class RGCN:
             logits = self.forward()
         pred = logits[mask].argmax(axis=1)
         return float((pred == self.enc.labels[mask]).mean())
-
-
-def train_full(
-    enc: EncodedGraph, *, epochs: int = 40, dim: int = 32, lr: float = 1e-2, seed: int = 0
-) -> dict:
-    """Full-batch RGCN training (the paper's "RGCN" method — no sampling).
-
-    Returns the trained model plus accuracy/loss history.
-    """
-    model = RGCN(enc, dim=dim, seed=seed)
-    train_idx = np.flatnonzero(enc.masks["train"])
-    history = []
-    for _ in range(epochs):
-        loss, grads = model.loss_and_grads(train_idx)
-        model.adam_step(grads, lr=lr)
-        history.append(loss)
-    logits = model.forward()
-    return {
-        "model": model,
-        "loss_history": history,
-        "accuracy": {s: model.accuracy(s, logits) for s in ("train", "valid", "test")},
-        "n_params": model.n_params,
-    }

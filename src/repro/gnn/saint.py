@@ -66,7 +66,12 @@ def train_saint(
 ) -> dict:
     """Mini-batch training; ``sampler`` is "urw" (uniform roots) or "brw"
     (roots drawn from labelled training targets). Returns the model, final
-    split accuracies and the per-epoch loss history."""
+    split accuracies and the per-epoch loss history.
+
+    ``sampler="urw", roots_per_epoch=enc.n_nodes, walk_h=0`` is the paper's
+    full-batch "RGCN": every vertex is a root, so each step sees the whole
+    graph and supervises every training vertex. An epoch whose sample holds
+    no training vertex takes no step and records a NaN loss."""
     if sampler not in ("urw", "brw"):
         raise ValueError(f"unknown sampler {sampler!r}")
     rng = np.random.default_rng(seed)

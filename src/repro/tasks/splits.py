@@ -8,7 +8,7 @@
 
 Both return the input DataFrame plus a ``split`` column in
 {"train", "valid", "test"} and are deterministic (time: total order by
-(year, id); random: ``rand(seed)``).
+(year, id); random: ``rand(SPLIT_SEED)``).
 """
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from pyspark.sql import functions as F
 from repro.tasks.defs import Task, lp_triples
 
 SPLITS = ("train", "valid", "test")
+# ``random_split``'s ``rand`` seed, the same for every task (Table II).
+SPLIT_SEED = 7
 
 
 def _assign(df: DataFrame, frac_col: str, ratios: tuple[float, float, float]) -> DataFrame:
@@ -42,26 +44,25 @@ def random_split(
     ratios: tuple[float, float, float],
     *,
     label_col: str | None = None,
-    seed: int = 7,
 ) -> DataFrame:
     """Random split; stratified per label when ``label_col`` is given."""
-    r = df.withColumn("_r", F.rand(seed))
+    r = df.withColumn("_r", F.rand(SPLIT_SEED))
     part = Window.partitionBy(label_col) if label_col else Window.partitionBy(F.lit(1))
     ranked = r.withColumn("_frac", F.percent_rank().over(part.orderBy("_r"))).drop("_r")
     return _assign(ranked, "_frac", ratios)
 
 
-def nc_frame(bundle, task: Task, *, seed: int = 7) -> DataFrame:
+def nc_frame(bundle, task: Task) -> DataFrame:
     """Full NC supervision frame ``(id, label, year, split)`` for a task:
     ground-truth labels joined with target-node years, split per Table II."""
     labels = bundle.labels[task.label_key]
     with_year = labels.join(bundle.kg.nodes.select("id", "year"), "id")
     if task.split == "time":
         return time_split(with_year, task.ratios)
-    return random_split(with_year, task.ratios, label_col="label", seed=seed)
+    return random_split(with_year, task.ratios, label_col="label")
 
 
-def lp_frame(bundle, task: Task, *, seed: int = 7) -> DataFrame:
+def lp_frame(bundle, task: Task) -> DataFrame:
     """Full LP frame ``(s, p, o, year, split)``: the task predicate's
     triples with the subject's year, split per Table II."""
     pt = lp_triples(bundle.kg, task)
@@ -70,7 +71,7 @@ def lp_frame(bundle, task: Task, *, seed: int = 7) -> DataFrame:
     )
     if task.split == "time":
         return time_split(with_year, task.ratios, id_col="s")
-    return random_split(with_year, task.ratios, seed=seed)
+    return random_split(with_year, task.ratios)
 
 
 def split_fractions(split_df: DataFrame) -> dict[str, float]:

@@ -65,11 +65,6 @@ def test_labels_and_masks_assigned(enc_mag):
     assert (enc.masks["train"] & enc.masks["test"]).sum() == 0
 
 
-def test_target_mask_matches_labelled(enc_mag):
-    enc, _ = enc_mag
-    assert (enc.target_mask == (enc.labels >= 0)).all()
-
-
 def test_labelled_nodes_missing_from_graph_dropped(spark, mag_bundle):
     task = TASKS["PV/MAG-42M"]
     frame = nc_frame(mag_bundle, task)
@@ -95,6 +90,12 @@ def test_encode_lp_removes_heldout_task_edges(dblp_bundle):
     n_held = len(enc.splits["valid"]) + len(enc.splits["test"])
     n_task_in_graph = int((enc.triples[:, 1] == enc.task_rel).sum())
     assert n_task_in_graph == n_task_total - n_held
+    # the task edges left in the graph are exactly the frame's train pairs
+    rows = frame.select("s", "o", "split").collect()
+    train_pairs = sorted((r.s, r.o) for r in rows if r.split == "train")
+    task = enc.triples[enc.triples[:, 1] == enc.task_rel]
+    kept = sorted(zip(enc.node_ids[task[:, 0]].tolist(), enc.node_ids[task[:, 2]].tolist()))
+    assert kept == train_pairs
 
 
 def test_encode_lp_candidates_are_object_typed(dblp_bundle):

@@ -1,11 +1,15 @@
 """RGCN (Eq. 1): exact-gradient verification against numerical
-differentiation, parameter accounting, frozen target embeddings, and
+differentiation, parameter accounting, frozen target embeddings,
+full-batch training as ``train_saint`` with every vertex a root, and
 learnability on a toy relational task."""
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.gnn.encoding import EncodedGraph, RelEdges
-from repro.gnn.rgcn import RGCN, _agg, train_full
+from repro.gnn.rgcn import RGCN, _agg
+from repro.gnn.saint import train_saint
 
 
 def _toy_graph(n=12, n_classes=3, seed=0) -> EncodedGraph:
@@ -46,8 +50,12 @@ def _toy_graph(n=12, n_classes=3, seed=0) -> EncodedGraph:
         labels=labels,
         masks=masks,
         n_classes=n_classes,
-        target_mask=labels >= 0,
     )
+
+
+def _full_batch(enc: EncodedGraph, **kw) -> dict:
+    """The paper's full-batch "RGCN": SAINT with every vertex a root."""
+    return train_saint(enc, sampler="urw", roots_per_epoch=enc.n_nodes, walk_h=0, **kw)
 
 
 def test_numerical_gradient_check():
@@ -110,7 +118,7 @@ def test_target_embeddings_frozen_at_zero():
 
 def test_training_reduces_loss():
     enc = _toy_graph()
-    result = train_full(enc, epochs=50, dim=8, lr=0.05, seed=0)
+    result = _full_batch(enc, epochs=50, dim=8, lr=0.05, seed=0)
     assert result["loss_history"][-1] < result["loss_history"][0]
 
 
@@ -118,7 +126,7 @@ def test_learns_toy_relational_task():
     """Labels are determined by the class vertex one hop away — a correct
     RGCN must reach 100% train and test accuracy."""
     enc = _toy_graph()
-    result = train_full(enc, epochs=120, dim=8, lr=0.05, seed=0)
+    result = _full_batch(enc, epochs=120, dim=8, lr=0.05, seed=0)
     assert result["accuracy"]["train"] == 1.0
     assert result["accuracy"]["test"] == 1.0
 
@@ -138,6 +146,46 @@ def test_forward_shape():
 
 def test_deterministic_in_seed():
     enc = _toy_graph()
-    a = train_full(enc, epochs=10, dim=4, seed=5)["loss_history"]
-    b = train_full(enc, epochs=10, dim=4, seed=5)["loss_history"]
+    a = _full_batch(enc, epochs=10, dim=4, seed=5)["loss_history"]
+    b = _full_batch(enc, epochs=10, dim=4, seed=5)["loss_history"]
     assert a == b
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("epochs, dim, lr", [(50, 8, 0.05), (10, 4, 1e-2)])
+def test_full_batch_saint_equals_plain_full_batch_loop(seed, epochs, dim, lr):
+    """Every vertex a root and no walk steps: each SAINT step sees the whole
+    graph and every training vertex, so it is full-batch training, bit for
+    bit (the sampler's draws never reach the model's initialisation)."""
+    enc = _toy_graph()
+    model = RGCN(enc, dim=dim, seed=seed)
+    train_idx = np.flatnonzero(enc.masks["train"])
+    history = []
+    for _ in range(epochs):
+        loss, grads = model.loss_and_grads(train_idx)
+        model.adam_step(grads, lr=lr)
+        history.append(loss)
+
+    result = _full_batch(enc, epochs=epochs, dim=dim, lr=lr, seed=seed)
+    assert result["loss_history"] == history
+    for k, v in model.params.items():
+        np.testing.assert_array_equal(result["model"].params[k], v)
+
+
+@pytest.mark.parametrize("sampler", ["urw", "brw"])
+def test_no_training_vertex_in_sample_leaves_model_untrained(sampler):
+    """An epoch whose sample holds no training vertex takes no step and
+    records a NaN loss; with none at all the model stays at its
+    initialisation, and the train split's accuracy is NaN."""
+    enc = _toy_graph()
+    enc.masks["train"][:] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = train_saint(enc, sampler=sampler, epochs=5, roots_per_epoch=4, dim=4, seed=0)
+    assert len(result["loss_history"]) == 5
+    assert all(np.isnan(x) for x in result["loss_history"])
+    fresh = RGCN(enc, dim=4, seed=0)
+    for k, v in fresh.params.items():
+        np.testing.assert_array_equal(result["model"].params[k], v)
+    assert np.isnan(result["accuracy"]["train"])
+    assert result["accuracy"]["test"] == fresh.accuracy("test")

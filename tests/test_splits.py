@@ -10,10 +10,10 @@ NC_KEYS = list(NC_TASKS)
 LP_KEYS = list(LP_TASKS)
 
 
-def _frame(bundles, key, seed=7):
+def _frame(bundles, key):
     task = TASKS[key]
     b = bundles[task.kg_name]
-    return (nc_frame if task.tt == "NC" else lp_frame)(b, task, seed=seed)
+    return (nc_frame if task.tt == "NC" else lp_frame)(b, task)
 
 
 @pytest.mark.parametrize("key", NC_KEYS + LP_KEYS)
@@ -58,8 +58,8 @@ def test_random_split_stratified_per_label(bundles, key):
 
 @pytest.mark.parametrize("key", ["PC/YAGO-30M", "CA/YAGO3-10"])
 def test_random_split_deterministic_in_seed(bundles, key):
-    a = _frame(bundles, key, seed=3).orderBy(*_frame(bundles, key).columns[:1]).toPandas()
-    b = _frame(bundles, key, seed=3).orderBy(*_frame(bundles, key).columns[:1]).toPandas()
+    a = _frame(bundles, key).orderBy(*_frame(bundles, key).columns[:1]).toPandas()
+    b = _frame(bundles, key).orderBy(*_frame(bundles, key).columns[:1]).toPandas()
     assert a.equals(b)
 
 

@@ -1,5 +1,10 @@
 """Table harnesses: structure of the produced frames and the paper-shape
 invariants they must exhibit at unit-test scale."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -138,3 +143,18 @@ def test_to_markdown_renders(t1):
     md = to_markdown(t1)
     assert md.startswith("| kg |")
     assert md.count("\n") == len(t1) + 1
+
+
+@pytest.mark.parametrize("argv", [[], ["0"], ["5"]], ids=["none", "0", "5"])
+def test_run_table_rejects_bad_table_number(argv):
+    """No table number, or one outside 1..4: the usage line and exit code 2,
+    before a Spark session starts (which would log to stderr)."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    p = subprocess.run(
+        [sys.executable, str(root / "jobs" / "run_table.py"), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert p.stderr.startswith("usage: run_table.py N [sf]") and p.stderr.count("\n") == 1
