@@ -271,7 +271,7 @@ def table3(spark: SparkSession, *, sf: float = 1.0, with_accuracy: bool = True, 
 
         acc: dict[str, float] = {}
         if with_accuracy:
-            frame = nc_frame(bundle, task)
+            frame = nc_frame(bundle, task).persist()
             tp = _train_params(sf)
             enc_fg = encode_nc(kg, frame, n_classes=task.n_classes)
             acc["RW"] = _seed_averaged_acc(enc_fg, "urw", seed, tp)[0]
@@ -279,6 +279,7 @@ def table3(spark: SparkSession, *, sf: float = 1.0, with_accuracy: bool = True, 
             for m in ("IBS", "d1h1"):
                 enc = encode_nc(subgraphs[m], frame, n_classes=task.n_classes)
                 acc[m] = _seed_averaged_acc(enc, "urw", seed, tp)[0]
+            frame.unpersist()
 
         paper = PAPER_TABLE3[key]
         for m, kgp in subgraphs.items():

@@ -9,38 +9,44 @@ unioned and de-duplicated — the "merge" that interlinks per-target stars
 into one KG' with longer metapaths (§IV-C).
 
 Algorithm 3 pages the target set into subqueries run by a worker pool and
-drops duplicates once at the end (line 10). Here the whole target set is
-one Catalyst plan: Spark's partitioned semi-join against the index plays
-the paging and the worker pool, and ``from_triples`` does the one final
-dedup.
+drops duplicates once at the end (line 10). Here each hop's frontier is a
+distinct id set held on the driver (at most the targets' h-hop
+neighbourhood, which is KG′-sized) and is one broadcast probe of the
+cached index: the frontier is the page, the index is scanned where it lies
+and never shuffled. ``from_triples`` does the one final dedup, over the
+matched triples only.
 """
 from __future__ import annotations
 
 from functools import reduce
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.pattern import TOSGPattern
-from repro.core.subgraph import from_triples
+from repro.core.subgraph import collect_ids, from_triples, id_frame
 from repro.kg.partition import TripleIndex
 from repro.kg.schema import KG
 
 
 def _match_bgp(index: TripleIndex, targets: DataFrame, pattern: TOSGPattern) -> DataFrame:
     """All triples matched by the pattern's UNION legs for ``targets``."""
-    frontier = targets.select("id").distinct()
+    spark = index.kg.triples.sparkSession
+    frontier = np.unique(collect_ids(targets))
     legs: list[DataFrame] = []
-    for _hop in range(pattern.h):
-        out = index.outgoing(frontier)
+    for hop in range(pattern.h):
+        keys = id_frame(spark, frontier)
+        out = index.outgoing(keys)
         legs.append(out)
-        nxt = out.select(F.col("o").alias("id"))
+        nxt = [out.select(F.col("o").alias("id"))]
         if pattern.d == 2:
-            inc = index.incoming(frontier)
+            inc = index.incoming(keys)
             legs.append(inc)
-            nxt = nxt.unionByName(inc.select(F.col("s").alias("id")))
-        frontier = nxt.distinct().localCheckpoint(eager=True)
-    return reduce(lambda a, b: a.unionByName(b), legs)
+            nxt.append(inc.select(F.col("s").alias("id")))
+        if hop + 1 < pattern.h:
+            frontier = np.unique(collect_ids(reduce(DataFrame.unionByName, nxt)))
+    return reduce(DataFrame.unionByName, legs)
 
 
 def extract_tosg(

@@ -7,7 +7,8 @@ URW/BRW, bs + 1/ε + k·bs for IBS), so it is broadcast and probed by
 semi-joins: the KG is scanned in place and never shuffled, KG′'s triples
 keep the KG's partitioning and its vertex rows come out in one partition.
 The SPARQL method instead unions matched triples; ``from_triples`` rebuilds
-a typed KG from them.
+a typed KG from them in one partition, with the same probe for the vertex
+rows.
 """
 from __future__ import annotations
 
@@ -19,12 +20,14 @@ from pyspark.sql import functions as F
 from repro.kg.schema import KG
 
 
-# KG′ vertex rows are ordered by (pmod(hash(id), 64), id), the order a 64-way
-# hash-partitioned sort-merge join returns. ``avg_distance_to_targets`` draws
-# its sources by row position, and the values recorded in
-# ``perfbench/expected.json`` follow this order, so it is a constant rather
-# than ``spark.sql.shuffle.partitions``.
-NODE_ORDER_BUCKETS = 64
+# KG′ rows written in one partition come in the order of a 64-way
+# hash-partitioned sort-merge join on their key: vertex rows by
+# (pmod(hash(id), 64), id), d·h triples bucketed by pmod(hash(s), 64) (see
+# ``from_triples``). ``avg_distance_to_targets`` draws its sources by vertex
+# row position, ``encode_nc`` builds its CSR in triple row order, and the
+# values recorded in ``perfbench/expected.json`` follow these orders, so the
+# bucket count is a constant rather than ``spark.sql.shuffle.partitions``.
+ROW_ORDER_BUCKETS = 64
 
 
 def collect_ids(df: DataFrame) -> np.ndarray:
@@ -41,39 +44,56 @@ def id_frame(spark: SparkSession, ids: np.ndarray) -> DataFrame:
 def induced_subgraph(kg: KG, vertex_ids: DataFrame, *, name: str | None = None) -> KG:
     """``KG'`` = all triples of ``kg`` with both endpoints in ``vertex_ids``
     (one column ``id``; duplicates and absent ids allowed), plus the typed
-    vertex rows, ordered by :data:`NODE_ORDER_BUCKETS`."""
+    vertex rows, ordered by :data:`ROW_ORDER_BUCKETS`."""
     v = vertex_ids.select("id")
     triples = (
         kg.triples.join(F.broadcast(v.withColumnRenamed("id", "s")), "s", "semi")
         .join(F.broadcast(v.withColumnRenamed("id", "o")), "o", "semi")
         .select("s", "p", "o")
     )
-    nodes = (
-        kg.nodes.join(F.broadcast(v), "id", "semi")
+    return KG(name=name or f"{kg.name}'", nodes=_vertex_rows(kg, v), triples=triples)
+
+
+def _vertex_rows(kg: KG, ids: DataFrame) -> DataFrame:
+    """``kg``'s vertex rows whose ``id`` is in ``ids`` (duplicates allowed),
+    in one partition ordered by :data:`ROW_ORDER_BUCKETS`."""
+    return (
+        kg.nodes.join(F.broadcast(ids), "id", "semi")
         .coalesce(1)
-        .sortWithinPartitions(F.pmod(F.hash("id"), F.lit(NODE_ORDER_BUCKETS)), "id")
+        .sortWithinPartitions(F.pmod(F.hash("id"), F.lit(ROW_ORDER_BUCKETS)), "id")
     )
-    return KG(name=name or f"{kg.name}'", nodes=nodes, triples=triples)
 
 
 def from_triples(kg: KG, triples: DataFrame, *, name: str | None = None) -> KG:
-    """Build ``KG'`` from a set of matched triples: vertices are the
-    endpoints, types/years looked up from the parent KG (the SPARQL
-    method's merge step, §IV-C)."""
-    t = triples.select("s", "p", "o").dropDuplicates()
-    endpoints = (
-        t.select(F.col("s").alias("id"))
-        .unionByName(t.select(F.col("o").alias("id")))
-        .distinct()
+    """Build ``KG'`` from a small set of matched triples (duplicates
+    allowed): the distinct triples in one partition, and the typed vertex
+    rows of their endpoints looked up from the parent KG (the SPARQL
+    method's merge step, §IV-C).
+
+    The triples are hashed on ``s`` into :data:`ROW_ORDER_BUCKETS` buckets,
+    sorted by ``(s, p, o)`` and deduplicated per bucket, and the buckets are
+    concatenated in order. That is the order of the 64-way sort-merge join
+    and aggregate that once built d·h TOSGs, which the recorded digests
+    follow: Spark's hash aggregate emits a few rows of some buckets out of
+    ``(s, p, o)`` order, so a plain sort would not reproduce it. Only the
+    matched triples are shuffled, never the KG."""
+    t = (
+        triples.select("s", "p", "o")
+        .repartition(ROW_ORDER_BUCKETS, "s")
+        .sortWithinPartitions("s", "p", "o")
+        .dropDuplicates()
+        .coalesce(1)
     )
-    nodes = kg.nodes.join(endpoints, "id", "semi")
-    return KG(name=name or f"{kg.name}'", nodes=nodes, triples=t)
+    endpoints = t.select(F.explode(F.array("s", "o")).alias("id"))
+    return KG(name=name or f"{kg.name}'", nodes=_vertex_rows(kg, endpoints), triples=t)
 
 
 def materialize(kg: KG) -> KG:
     """Persist and force-evaluate a subgraph so downstream metric passes and
-    timing measurements don't re-run the extraction lineage."""
-    kg.nodes = kg.nodes.persist()
+    timing measurements don't re-run the extraction lineage. The triples
+    are cached first, so vertex rows derived from them (``from_triples``)
+    read that cache instead of re-running the extraction."""
     kg.triples = kg.triples.persist()
-    kg.nodes.count(), kg.triples.count()
+    kg.nodes = kg.nodes.persist()
+    kg.triples.count(), kg.nodes.count()
     return kg

@@ -3,10 +3,11 @@
 The paper's SPARQL-based extraction (§IV-C) leans on RDF engines' built-in
 sextuple indices (SPO, POS, OSP, …, Weiss et al. [41]) so that BGP matching
 touches only the triples incident to target vertices instead of scanning
-the KG. Our analogue: the triple table repartitioned by the lookup key and
-sorted within partitions, so a join against a key set is a partition-local
-sorted probe rather than a full shuffle of the KG — the same access-path
-idea expressed in Catalyst terms.
+the KG. Our analogue: cached copies of the triple table, each repartitioned
+by its lookup key and sorted within partitions, probed by a broadcast hash
+semi-join against a small key set. The probe scans the cached layout where
+it lies and never shuffles it; it uses neither the hash partitioning nor
+the sort, which only fix the layouts' own row order.
 
 A hexastore keeps one layout per binding pattern a query uses. The d·h
 pattern binds only the subject (outgoing legs) or the object (incoming
@@ -42,13 +43,14 @@ class TripleIndex:
 
     def outgoing(self, vertex_ids: DataFrame) -> DataFrame:
         """All triples whose subject is in ``vertex_ids`` (column ``id``) —
-        the ``?v ?p ?o`` leg of the BGP for a target set."""
-        return self.by_s.join(vertex_ids.withColumnRenamed("id", "s"), "s", "semi")
+        the ``?v ?p ?o`` leg of the BGP for a target set. The key set is
+        broadcast, so it must be small."""
+        return self.by_s.join(F.broadcast(vertex_ids.withColumnRenamed("id", "s")), "s", "semi")
 
     def incoming(self, vertex_ids: DataFrame) -> DataFrame:
         """All triples whose object is in ``vertex_ids`` — the
-        ``?s ?p ?v`` (d=2) leg of the BGP."""
-        return self.by_o.join(vertex_ids.withColumnRenamed("id", "o"), "o", "semi")
+        ``?s ?p ?v`` (d=2) leg of the BGP; the key set is broadcast."""
+        return self.by_o.join(F.broadcast(vertex_ids.withColumnRenamed("id", "o")), "o", "semi")
 
     def predicate(self, p: str) -> DataFrame:
         """All triples of one predicate — the LP bridge pattern

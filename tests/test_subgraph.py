@@ -7,12 +7,11 @@ import re
 import pandas as pd
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.core.subgraph import from_triples, induced_subgraph, materialize
-from repro.kg.schema import make_kg
 from repro.metrics.topology import avg_distance_to_targets
 from repro.oracle import assert_equivalent
+from tests.strategies import case_kg, kgs_and_vertex_sets
 
 
 @pytest.fixture(scope="module")
@@ -139,41 +138,12 @@ def test_induced_subgraph_independent_of_persistence(spark, mag_bundle, mag_d1h1
         kept.unpersist()
 
 
-@st.composite
-def kgs_and_vertex_sets(draw):
-    """Up to 30 vertices (the last one always isolated) and up to 40 triples
-    over 2 relations, with a self-loop, an exact duplicate and a second
-    relation on one vertex pair; a vertex set that repeats ids and may hold
-    ids absent from the KG (100-102)."""
-
-    def sized(elements, most, **kw):
-        # a size uniform in [0, most]; hypothesis's own list sizes lean small
-        n = draw(st.integers(0, most))
-        return draw(st.lists(elements, min_size=n, max_size=n, **kw))
-
-    ids = sized(st.integers(0, 99), 30, unique=True)
-    nodes = [(v, draw(st.sampled_from("ABC")), draw(st.none() | st.integers(1990, 2020))) for v in ids]
-    triples = []
-    if len(ids) > 1:
-        triples = sized(st.tuples(st.sampled_from(ids[:-1]), st.sampled_from("pq"), st.sampled_from(ids[:-1])), 37)
-    if triples:
-        s, p, o = triples[0]
-        triples += [(s, p, s), (s, p, o), (s, "q" if p == "p" else "p", o)]
-    chosen = sized(st.sampled_from(ids) | st.integers(100, 102) if ids else st.integers(100, 102), 12)
-    return nodes, triples, chosen + chosen[: len(chosen) // 2]
-
-
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(kgs_and_vertex_sets())
 @example(([(0, "A", None), (1, "B", 2000)], [(0, "p", 1), (0, "p", 0)], []))
 def test_induced_subgraph_matches_sql_in(spark, case):
     nodes, triples, chosen = case
-    kg = make_kg(
-        spark,
-        "prop",
-        pd.DataFrame(nodes, columns=["id", "ntype", "year"]).astype({"id": "int64", "ntype": "object"}),
-        pd.DataFrame(triples, columns=["s", "p", "o"]).astype({"s": "int64", "p": "object", "o": "int64"}),
-    )
+    kg = case_kg(spark, nodes, triples)
     v = pd.DataFrame({"id": pd.Series(chosen, dtype="int64")})
     sub = induced_subgraph(kg, spark.createDataFrame(v, "id long"))
     assert_equivalent(
