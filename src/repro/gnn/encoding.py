@@ -2,30 +2,38 @@
 the mandatory "Transformation Time" step of the paper's Table IV pipeline
 (Fig. 4: TOSG → adjacency matrices → HGNN training).
 
-The encoded form is a contiguous node index plus per-relation edge arrays
-``(src, dst, norm)`` with the Eq. 1 normalization ``1/|N_i^r|`` (in-degree
-per relation), ready for the numpy RGCN. LP tasks get entity/relation
-indices plus split triple arrays and type-valid candidate sets.
+The encoded form is a contiguous node index plus one edge table
+``(src, dst, rel, norm)`` sorted by relation, with the Eq. 1 normalization
+``1/|N_i^r|`` (in-degree per relation), ready for the numpy RGCN. LP tasks
+get entity/relation indices plus split triple arrays and type-valid
+candidate sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.kg.schema import KG
+from repro.metrics.topology import undirected_csr
 
 
-@dataclass
-class RelEdges:
-    """One relation's edges in contiguous node indices."""
+class EdgeTable(NamedTuple):
+    """Edges in contiguous node indices, sorted stably by relation code, so
+    each relation's edges are one run of rows."""
 
     src: np.ndarray
     dst: np.ndarray
-    norm: np.ndarray  # 1 / in-degree of dst under this relation
+    rel: np.ndarray
+    norm: np.ndarray  # 1 / in-degree of dst under rel
+
+    def by_rel(self, n_rels: int) -> list[tuple[int, slice]]:
+        """``(r, rows)`` of every relation with at least one edge."""
+        bounds = np.searchsorted(self.rel, np.arange(n_rels + 1))
+        return [(r, slice(a, b)) for r, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])) if b > a]
 
 
 @dataclass
@@ -34,7 +42,7 @@ class EncodedGraph:
 
     node_ids: np.ndarray  # position -> original vertex id
     rel_names: list[str]
-    edges: list[RelEdges]
+    edges: EdgeTable
     labels: np.ndarray  # -1 for unlabelled vertices
     masks: dict[str, np.ndarray]  # split -> bool array
     n_classes: int
@@ -57,7 +65,7 @@ class EncodedGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(e.src) for e in self.edges)
+        return len(self.edges.src)
 
     # Undirected CSR view, built lazily — the in-memory GraphSAINT sampler
     # walks on this.
@@ -65,18 +73,30 @@ class EncodedGraph:
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         if self._csr is None:
-            src = np.concatenate([e.src for e in self.edges] + [e.dst for e in self.edges])
-            dst = np.concatenate([e.dst for e in self.edges] + [e.src for e in self.edges])
-            order = np.argsort(src, kind="stable")
-            src, dst = src[order], dst[order]
-            indptr = np.searchsorted(src, np.arange(self.n_nodes + 1))
-            self._csr = (indptr, dst)
+            self._csr = undirected_csr(self.edges.src, self.edges.dst, self.n_nodes)
         return self._csr
 
 
-def _norm(dst: np.ndarray) -> np.ndarray:
-    """Eq. 1's ``1/c_{i,r}`` with ``c_{i,r} = |N_i^r|``."""
-    _, inv, cnt = np.unique(dst, return_inverse=True, return_counts=True)
+def _collect(kgp: KG, *node_cols: str) -> tuple[pd.DataFrame, pd.DataFrame, pd.Index, np.ndarray, pd.Index]:
+    """Collect ``kgp`` to the driver: its vertex rows, its triples, the
+    vertex index, the triples in row order as ``(s, r, o)`` codes (vertex
+    positions, and positions in the sorted predicate names), and those
+    names. A triple whose endpoint is not a vertex raises ``KeyError``."""
+    nodes = kgp.nodes.select("id", *node_cols).toPandas()
+    trip = kgp.triples.select("s", "p", "o").toPandas()
+    index = pd.Index(nodes["id"].to_numpy())
+    rel, rel_names = pd.factorize(trip["p"], sort=True)
+    s, o = index.get_indexer(trip["s"]), index.get_indexer(trip["o"])
+    missing = set(trip["s"][s < 0].tolist()) | set(trip["o"][o < 0].tolist())
+    if missing:
+        raise KeyError(f"triple endpoints that are not vertices of {kgp.name}: {sorted(missing)[:5]}")
+    return nodes, trip, index, np.stack([s, rel, o], axis=1), rel_names
+
+
+def _norm(key: np.ndarray) -> np.ndarray:
+    """Eq. 1's ``1/c_{i,r}`` with ``c_{i,r} = |N_i^r|``, for ``key`` naming
+    each edge's ``(r, i)``."""
+    _, inv, cnt = np.unique(key, return_inverse=True, return_counts=True)
     return 1.0 / cnt[inv]
 
 
@@ -87,41 +107,32 @@ def encode_nc(kgp: KG, labelled: DataFrame, *, n_classes: int) -> EncodedGraph:
     flow against edge direction too — standard RGCN practice on KGs
     (PyG/DGL add reverse edge types for OGBN-MAG); without it a target
     whose signal edges all point *outward* never receives its neighbours'
-    embeddings. Labelled vertices absent from the graph are dropped (a
+    embeddings. Base relation ``c`` (in sorted name order) is code ``2c``
+    and its ``p_rev`` is ``2c+1``; within a relation, edges keep the triple
+    row order. Labelled vertices absent from the graph are dropped (a
     sampler that lost targets simply has fewer supervised nodes — exactly
     the data insufficiency the paper measures).
     """
-    nodes = kgp.nodes.select("id").toPandas()
-    trip = kgp.triples.toPandas()
+    nodes, _, index, spo, base_rels = _collect(kgp)
     lab = labelled.select("id", "label", "split").toPandas()
 
-    node_ids = nodes["id"].to_numpy()
-    pos = pd.Series(np.arange(len(node_ids)), index=node_ids)
+    n = len(index)
+    s, r, o = spo.T
+    src, dst, rel = np.concatenate([s, o]), np.concatenate([o, s]), np.concatenate([2 * r, 2 * r + 1])
+    order = np.argsort(rel, kind="stable")
+    src, dst, rel = src[order], dst[order], rel[order]
 
-    base_rels = sorted(trip["p"].unique())
-    rel_names = []
-    edges = []
-    for p in base_rels:
-        sub = trip[trip.p == p]
-        src = pos[sub.s.to_numpy()].to_numpy()
-        dst = pos[sub.o.to_numpy()].to_numpy()
-        rel_names.append(p)
-        edges.append(RelEdges(src=src, dst=dst, norm=_norm(dst)))
-        rel_names.append(f"{p}_rev")
-        edges.append(RelEdges(src=dst, dst=src, norm=_norm(src)))
-
-    labels = np.full(len(node_ids), -1, dtype=np.int64)
-    masks = {s: np.zeros(len(node_ids), dtype=bool) for s in ("train", "valid", "test")}
-    lab = lab[lab.id.isin(pos.index)]
-    li = pos[lab.id.to_numpy()].to_numpy()
+    labels = np.full(n, -1, dtype=np.int64)
+    masks = {split: np.zeros(n, dtype=bool) for split in ("train", "valid", "test")}
+    li = index.get_indexer(lab.id)
+    lab, li = lab[li >= 0], li[li >= 0]
     labels[li] = lab.label.to_numpy()
-    for s in masks:
-        sel = li[(lab.split == s).to_numpy()]
-        masks[s][sel] = True
+    for split in masks:
+        masks[split][li[(lab.split == split).to_numpy()]] = True
     return EncodedGraph(
-        node_ids=node_ids,
-        rel_names=rel_names,
-        edges=edges,
+        node_ids=nodes["id"].to_numpy(),
+        rel_names=[name for p in base_rels for name in (p, f"{p}_rev")],
+        edges=EdgeTable(src, dst, rel, _norm(rel * n + dst)),
         labels=labels,
         masks=masks,
         n_classes=n_classes,
@@ -153,53 +164,28 @@ def encode_lp(kgp: KG, task_predicate: str, split_triples: DataFrame) -> Encoded
     ``(s, p, o, split)``. Valid/test task triples are removed from the
     training graph (no leakage); candidates are all objects whose node type
     matches any object type of ``p_T``."""
-    nodes = kgp.nodes.select("id", "ntype").toPandas()
-    trip = kgp.triples.toPandas()
+    nodes, trip, index, spo, rel_names = _collect(kgp, "ntype")
     sp = split_triples.select("s", "o", "split").toPandas()
-
-    node_ids = nodes["id"].to_numpy()
-    pos = pd.Series(np.arange(len(node_ids)), index=node_ids)
-    rel_names = sorted(trip["p"].unique())
-    rpos = {p: i for i, p in enumerate(rel_names)}
-    task_rel = rpos[task_predicate]
+    task_rel = rel_names.get_loc(task_predicate)
 
     # drop valid/test task edges from the trainable graph
     held = sp[sp.split != "train"]
     held_keys = set(zip(held.s.to_numpy(), held.o.to_numpy()))
-    is_task = trip.p == task_predicate
-    drop = is_task & pd.MultiIndex.from_arrays([trip.s, trip.o]).isin(held_keys)
-    kept = trip[~drop]
-
-    all_triples = np.stack(
-        [
-            pos[kept.s.to_numpy()].to_numpy(),
-            kept.p.map(rpos).to_numpy(),
-            pos[kept.o.to_numpy()].to_numpy(),
-        ],
-        axis=1,
-    )
+    drop = (spo[:, 1] == task_rel) & pd.MultiIndex.from_arrays([trip.s, trip.o]).isin(held_keys)
     splits = {}
     for s in ("train", "valid", "test"):
         sub = sp[sp.split == s]
-        sub = sub[sub.s.isin(pos.index) & sub.o.isin(pos.index)]
-        splits[s] = np.stack(
-            [
-                pos[sub.s.to_numpy()].to_numpy(),
-                np.full(len(sub), task_rel),
-                pos[sub.o.to_numpy()].to_numpy(),
-            ],
-            axis=1,
-        ) if len(sub) else np.empty((0, 3), dtype=np.int64)
+        sub = sub[sub.s.isin(index) & sub.o.isin(index)]
+        splits[s] = np.stack([index.get_indexer(sub.s), np.full(len(sub), task_rel), index.get_indexer(sub.o)], axis=1)
 
     obj_types = set(
         nodes.set_index("id").loc[sp.o.unique().tolist()]["ntype"].unique().tolist()
     )
-    candidates = pos[nodes[nodes.ntype.isin(obj_types)]["id"].to_numpy()].to_numpy()
     return EncodedLP(
-        node_ids=node_ids,
-        rel_names=rel_names,
-        triples=all_triples.astype(np.int64),
+        node_ids=nodes["id"].to_numpy(),
+        rel_names=list(rel_names),
+        triples=spo[~drop],
         task_rel=task_rel,
         splits={k: v.astype(np.int64) for k, v in splits.items()},
-        candidates=candidates.astype(np.int64),
+        candidates=np.flatnonzero(nodes.ntype.isin(obj_types)),
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gnn.encoding import EncodedGraph, RelEdges
+from repro.gnn.encoding import EdgeTable, EncodedGraph
 
 
 def _xavier(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -28,28 +28,26 @@ def _xavier(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def _agg(H: np.ndarray, Wself: np.ndarray, Wrel: np.ndarray, edges: list[RelEdges]) -> np.ndarray:
+def _agg(H: np.ndarray, Wself: np.ndarray, Wrel: np.ndarray, edges: EdgeTable) -> np.ndarray:
     out = H @ Wself
-    for r, e in enumerate(edges):
-        if len(e.src) == 0:
-            continue
-        m = (H[e.src] @ Wrel[r]) * e.norm[:, None]
-        np.add.at(out, e.dst, m)
+    src, dst, _, norm = edges
+    for r, rows in edges.by_rel(len(Wrel)):
+        m = (H[src[rows]] @ Wrel[r]) * norm[rows, None]
+        np.add.at(out, dst[rows], m)
     return out
 
 
 def _agg_bwd(
-    H: np.ndarray, Wself: np.ndarray, Wrel: np.ndarray, edges: list[RelEdges], dOut: np.ndarray
+    H: np.ndarray, Wself: np.ndarray, Wrel: np.ndarray, edges: EdgeTable, dOut: np.ndarray
 ):
     dH = dOut @ Wself.T
     dWself = H.T @ dOut
     dWrel = np.zeros_like(Wrel)
-    for r, e in enumerate(edges):
-        if len(e.src) == 0:
-            continue
-        g = dOut[e.dst] * e.norm[:, None]
-        dWrel[r] = H[e.src].T @ g
-        np.add.at(dH, e.src, g @ Wrel[r].T)
+    src, dst, _, norm = edges
+    for r, rows in edges.by_rel(len(Wrel)):
+        g = dOut[dst[rows]] * norm[rows, None]
+        dWrel[r] = H[src[rows]].T @ g
+        np.add.at(dH, src[rows], g @ Wrel[r].T)
     return dH, dWself, dWrel
 
 
@@ -84,7 +82,7 @@ class RGCN:
         """Table IV "Model Size (#Params)"."""
         return int(sum(v.size for v in self.params.values()))
 
-    def _layers(self, edges: list[RelEdges]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _layers(self, edges: EdgeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The two-layer forward pass: pre-activation, hidden and logits."""
         p = self.params
         a1 = _agg(p["E"], p["W1s"], p["W1r"], edges)
@@ -96,7 +94,7 @@ class RGCN:
         return self._layers(self.enc.edges)[2]
 
     def loss_and_grads(
-        self, mask_idx: np.ndarray, edges: list[RelEdges] | None = None
+        self, mask_idx: np.ndarray, edges: EdgeTable | None = None
     ) -> tuple[float, dict]:
         """Softmax cross-entropy on ``mask_idx`` + exact gradients."""
         e = self.enc.edges if edges is None else edges

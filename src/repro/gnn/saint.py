@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gnn.encoding import EncodedGraph, RelEdges
+from repro.gnn.encoding import EdgeTable, EncodedGraph
 from repro.gnn.rgcn import RGCN
 
 
@@ -41,16 +41,13 @@ def _walk_sample(
     return np.unique(np.concatenate(visited))
 
 
-def _induced_edges(enc: EncodedGraph, nodes: np.ndarray) -> list[RelEdges]:
-    """Per-relation edges with both endpoints in ``nodes`` (global ids kept,
-    so model parameters stay shared across epochs)."""
+def _induced_edges(enc: EncodedGraph, nodes: np.ndarray) -> EdgeTable:
+    """The rows of the edge table with both endpoints in ``nodes`` (global
+    ids kept, so model parameters stay shared across epochs)."""
     mask = np.zeros(enc.n_nodes, dtype=bool)
     mask[nodes] = True
-    out = []
-    for e in enc.edges:
-        keep = mask[e.src] & mask[e.dst]
-        out.append(RelEdges(src=e.src[keep], dst=e.dst[keep], norm=e.norm[keep]))
-    return out
+    keep = mask[enc.edges.src] & mask[enc.edges.dst]
+    return EdgeTable(*(a[keep] for a in enc.edges))
 
 
 def train_saint(

@@ -50,11 +50,19 @@ def _collect(kgp: KG, targets: DataFrame | None = None) -> _Collected:
     pos = pd.Index(ids)
     s, o = pos.get_indexer(triples["s"]), pos.get_indexer(triples["o"])
     keep = (s >= 0) & (o >= 0)
-    s, o = s[keep], o[keep]
-    src, dst = np.concatenate([s, o]), np.concatenate([o, s])
+    indptr, nbrs = undirected_csr(s[keep], o[keep], len(ids))
+    return _Collected(nodes, triples, indptr, nbrs, np.isin(ids, t_ids))
+
+
+def undirected_csr(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, nbrs)`` over vertex positions ``0..n-1`` of the edges
+    ``a[i]``–``b[i]`` taken both ways. The neighbours of ``v`` are the
+    other endpoints of its edges with ``a == v``, then of those with
+    ``b == v``, each in edge order; ``bfs`` and SAINT's walks read these
+    positions."""
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
     order = np.argsort(src, kind="stable")
-    indptr = np.searchsorted(src[order], np.arange(len(ids) + 1))
-    return _Collected(nodes, triples, indptr, dst[order], np.isin(ids, t_ids))
+    return np.searchsorted(src[order], np.arange(n + 1)), dst[order]
 
 
 def bfs(indptr: np.ndarray, nbrs: np.ndarray, sources: ArrayLike, max_hops: int) -> np.ndarray:

@@ -1,15 +1,20 @@
 """Triples→adjacency transformation (the paper's Fig. 4 'Transformation'
 step): index bijections, reverse relations, Eq. 1 normalization, split
-masks, and LP leakage removal."""
+masks, and LP leakage removal; the relation-sorted edge table and the LP
+triple codes against a per-relation reference on random KGs."""
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
 from pyspark.sql import functions as F
 
 from repro.gnn.encoding import encode_lp, encode_nc
 from repro.kg.schema import make_kg
 from repro.tasks.defs import TASKS
 from repro.tasks.splits import lp_frame, nc_frame
+from tests.strategies import case_kg, kgs_and_vertex_sets
 
 
 @pytest.fixture(scope="module")
@@ -39,18 +44,19 @@ def test_edge_count_doubled_by_reverse(mag_bundle, enc_mag):
 
 def test_reverse_edges_are_transposed(enc_mag):
     enc, _ = enc_mag
-    for p, e in zip(enc.rel_names, enc.edges):
-        if p.endswith("_rev"):
-            fwd = enc.edges[enc.rel_names.index(p[: -len("_rev")])]
-            assert np.array_equal(np.sort(e.src), np.sort(fwd.dst))
-            assert np.array_equal(np.sort(e.dst), np.sort(fwd.src))
+    src, dst, rel, _ = enc.edges
+    for c in range(0, enc.n_rels, 2):
+        assert enc.rel_names[c + 1] == f"{enc.rel_names[c]}_rev"
+        fwd, rev = rel == c, rel == c + 1
+        assert np.array_equal(src[rev], dst[fwd])
+        assert np.array_equal(dst[rev], src[fwd])
 
 
 def test_norm_is_inverse_indegree(enc_mag):
     enc, _ = enc_mag
-    e = enc.edges[0]
-    # per destination, norms must sum to 1 (Eq. 1 with c_{i,r} = |N_i^r|)
-    sums = pd.Series(e.norm).groupby(pd.Series(e.dst)).sum()
+    _, dst, rel, norm = enc.edges
+    # per relation and destination, norms must sum to 1 (Eq. 1 with c_{i,r} = |N_i^r|)
+    sums = pd.Series(norm).groupby([rel, dst]).sum()
     np.testing.assert_allclose(sums.to_numpy(), 1.0)
 
 
@@ -80,6 +86,9 @@ def test_csr_symmetric_degree(enc_mag):
     indptr, nbrs = enc.csr()
     assert indptr[-1] == 2 * enc.n_edges
     assert len(nbrs) == indptr[-1]
+    src, dst, _, _ = enc.edges
+    degree = np.bincount(src, minlength=enc.n_nodes) + np.bincount(dst, minlength=enc.n_nodes)
+    assert np.array_equal(np.diff(indptr), degree)
 
 
 def test_encode_lp_removes_heldout_task_edges(dblp_bundle):
@@ -117,3 +126,59 @@ def test_encode_lp_split_sizes_match_frame(dblp_bundle):
     counts = {r["split"]: r["count"] for r in frame.groupBy("split").count().collect()}
     for s in ("train", "valid", "test"):
         assert len(enc.splits[s]) == counts.get(s, 0)
+
+
+def _no_labels(spark):
+    return spark.createDataFrame([], "id long, label long, split string")
+
+
+def _reference_edges(nodes, triples) -> list[tuple]:
+    """The per-relation encoding, written out: for each predicate in sorted
+    order, its triples in row order, then the same edges reversed, each
+    edge's norm 1 / the in-degree of its ``dst`` under its relation."""
+    pos = {v: i for i, (v, _, _) in enumerate(nodes)}
+    rows = []
+    for c, p in enumerate(sorted({p for _, p, _ in triples})):
+        fwd = [(pos[s], pos[o]) for s, q, o in triples if q == p]
+        for r, pairs in ((2 * c, fwd), (2 * c + 1, [(b, a) for a, b in fwd])):
+            indeg = Counter(b for _, b in pairs)
+            rows += [(a, b, r, 1.0 / indeg[b]) for a, b in pairs]
+    return rows
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(case=kgs_and_vertex_sets())
+@example(case=([(0, "A", None), (1, "B", 2000)], [], []))
+def test_encoders_match_per_relation_reference(spark, case):
+    """Self-loops, exact duplicate triples, an isolated vertex and zero
+    triples: ``encode_nc``'s edge table equals the per-relation reference
+    row for row, and ``encode_lp``'s ``(s, r, o)`` codes are the triples in
+    row order, less the held-out task pair."""
+    nodes, triples, _ = case
+    kg = case_kg(spark, nodes, triples)
+    names = sorted({p for _, p, _ in triples})
+
+    enc = encode_nc(kg, _no_labels(spark), n_classes=2)
+    assert enc.node_ids.tolist() == [v for v, _, _ in nodes]
+    assert enc.rel_names == [n for p in names for n in (p, f"{p}_rev")]
+    assert list(zip(*(a.tolist() for a in enc.edges))) == _reference_edges(nodes, triples)
+    assert enc.n_edges == 2 * len(triples)
+
+    if not triples:
+        return
+    s, task, o = triples[0]
+    held = spark.createDataFrame([(s, o, "test")], "s long, o long, split string")
+    lp = encode_lp(kg, task, held)
+    pos = {v: i for i, (v, _, _) in enumerate(nodes)}
+    want = [[pos[a], names.index(p), pos[b]] for a, p, b in triples if (a, p, b) != (s, task, o)]
+    assert lp.rel_names == names and lp.task_rel == names.index(task)
+    assert lp.triples.tolist() == want
+    assert lp.splits["test"].tolist() == [[pos[s], names.index(task), pos[o]]]
+
+
+def test_triple_endpoint_outside_the_vertices_raises(spark):
+    kg = case_kg(spark, [(0, "A", None), (1, "B", None)], [(0, "p", 1), (0, "p", 7)])
+    with pytest.raises(KeyError, match=r"\[7\]"):
+        encode_nc(kg, _no_labels(spark), n_classes=2)
+    with pytest.raises(KeyError, match=r"\[7\]"):
+        encode_lp(kg, "p", spark.createDataFrame([], "s long, o long, split string"))

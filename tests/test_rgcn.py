@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.gnn.encoding import EncodedGraph, RelEdges
+from repro.gnn.encoding import EdgeTable, EncodedGraph
 from repro.gnn.rgcn import RGCN, _agg
 from repro.gnn.saint import train_saint
 
@@ -31,11 +31,12 @@ def _toy_graph(n=12, n_classes=3, seed=0) -> EncodedGraph:
         return 1.0 / cnt[inv]
 
     sig_src, sig_dst = np.array(sig_src), np.array(sig_dst)
-    edges = [
-        RelEdges(sig_src, sig_dst, norm(sig_dst)),
-        RelEdges(sig_dst, sig_src, norm(sig_src)),  # reverse: class → target
-        RelEdges(noise_src, noise_dst, norm(noise_dst)),
-    ]
+    edges = EdgeTable(  # relations sig, sig_rev (class → target), noise
+        src=np.concatenate([sig_src, sig_dst, noise_src]),
+        dst=np.concatenate([sig_dst, sig_src, noise_dst]),
+        rel=np.repeat([0, 1, 2], [len(sig_src), len(sig_dst), len(noise_src)]),
+        norm=np.concatenate([norm(sig_dst), norm(sig_src), norm(noise_dst)]),
+    )
     masks = {
         "train": np.zeros(n, bool),
         "valid": np.zeros(n, bool),
@@ -91,9 +92,8 @@ def test_agg_matches_dense_reference():
     Wrel = rng.normal(size=(enc.n_rels, d, d))
     got = _agg(H, Wself, Wrel, enc.edges)
     ref = H @ Wself
-    for r, e in enumerate(enc.edges):
-        for s, t, w in zip(e.src, e.dst, e.norm):
-            ref[t] += w * (H[s] @ Wrel[r])
+    for s, t, r, w in zip(*enc.edges):
+        ref[t] += w * (H[s] @ Wrel[r])
     np.testing.assert_allclose(got, ref, rtol=1e-10)
 
 

@@ -1,12 +1,14 @@
 """GraphSAINT-style mini-batch trainer: sampler invariants and training
 behaviour on the generated MAG graph."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.gnn.encoding import encode_nc
 from repro.gnn.saint import _induced_edges, _walk_sample, train_saint
 from repro.tasks.defs import TASKS
 from repro.tasks.splits import nc_frame
+from tests.strategies import case_kg
 
 
 @pytest.fixture(scope="module")
@@ -34,16 +36,17 @@ def test_induced_edges_closed_over_nodes(enc):
     nodes = _walk_sample(enc, rng.choice(enc.n_nodes, 50, replace=False), 2, rng)
     mask = np.zeros(enc.n_nodes, bool)
     mask[nodes] = True
-    for e in _induced_edges(enc, nodes):
-        assert mask[e.src].all() and mask[e.dst].all()
+    e = _induced_edges(enc, nodes)
+    assert mask[e.src].all() and mask[e.dst].all()
 
 
 def test_induced_edges_subset_of_graph(enc):
     rng = np.random.default_rng(3)
     nodes = _walk_sample(enc, rng.choice(enc.n_nodes, 50, replace=False), 2, rng)
     sub = _induced_edges(enc, nodes)
-    for e_sub, e_full in zip(sub, enc.edges):
-        assert len(e_sub.src) <= len(e_full.src)
+    assert (np.diff(sub.rel) >= 0).all()  # still one run of rows per relation
+    per_rel = lambda e: np.bincount(e.rel, minlength=enc.n_rels)  # noqa: E731
+    assert (per_rel(sub) <= per_rel(enc.edges)).all()
 
 
 def test_unknown_sampler_rejected(enc):
@@ -68,3 +71,19 @@ def test_deterministic_in_seed(enc):
     a = train_saint(enc, sampler="brw", epochs=8, roots_per_epoch=30, dim=8, seed=9)
     b = train_saint(enc, sampler="brw", epochs=8, roots_per_epoch=30, dim=8, seed=9)
     assert a["loss_history"] == b["loss_history"]
+
+
+@pytest.mark.parametrize("sampler", ["urw", "brw"])
+def test_edgeless_graph_trains_on_the_self_term(spark, sampler):
+    """A graph with vertices but no triples: no walk leaves its root and only
+    the self term ``H @ Wself`` acts, so every epoch with a training vertex
+    takes a finite step and the accuracy is defined."""
+    kg = case_kg(spark, [(v, "AB"[v % 2], None) for v in range(8)], [])
+    labelled = spark.createDataFrame(
+        pd.DataFrame({"id": [0, 2, 4, 6], "label": [0, 1, 0, 1], "split": ["train", "train", "train", "test"]})
+    )
+    enc = encode_nc(kg, labelled, n_classes=2)
+    assert enc.n_edges == 0 and enc.n_rels == 0
+    r = train_saint(enc, sampler=sampler, epochs=5, roots_per_epoch=enc.n_nodes, dim=4, seed=0)
+    assert len(r["loss_history"]) == 5 and np.isfinite(r["loss_history"]).all()
+    assert 0.0 <= r["accuracy"]["train"] <= 1.0 and 0.0 <= r["accuracy"]["test"] <= 1.0

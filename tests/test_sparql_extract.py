@@ -107,10 +107,17 @@ def test_d1h1_excludes_noise_components(mag_d1h1):
     assert noise == 0
 
 
-def test_extraction_is_deterministic(mag_index, mag_pv_targets):
-    a = extract_tosg(mag_index, mag_pv_targets, TOSGPattern(1, 1)).triples.orderBy("s", "p", "o").toPandas()
-    b = extract_tosg(mag_index, mag_pv_targets, TOSGPattern(1, 1)).triples.orderBy("s", "p", "o").toPandas()
-    assert a.equals(b)
+def test_extraction_is_deterministic(mag_index, half_pv_targets):
+    """Two extractions give the same triples, and each runs: its only cached
+    scan is the index's ``by_s``, never a cached KG′."""
+    by_s = _cached(mag_index.by_s)
+    got = []
+    for _ in range(2):
+        triples = extract_tosg(mag_index, half_pv_targets, TOSGPattern(1, 1)).triples.orderBy("s", "p", "o")
+        scans = [op for op in _plan_nodes(triples) if op.nodeName() == "InMemoryTableScan"]
+        assert scans and all(op.relation().cacheBuilder().equals(by_s) for op in scans)
+        got.append(triples.toPandas())
+    assert got[0].equals(got[1])
 
 
 @pytest.fixture(scope="module")
