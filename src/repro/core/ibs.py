@@ -16,7 +16,6 @@ seeds + influential targets + chosen neighbours.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -40,7 +39,7 @@ def _neighbours(kg: KG, ids: np.ndarray) -> np.ndarray:
     return np.column_stack([pairs, deg[inv]])
 
 
-def _ppr(kg: KG, seed_rows: np.ndarray, *, alpha: float, eps: float, iters: int) -> tuple[np.ndarray, np.ndarray]:
+def ppr(kg: KG, seed_rows: np.ndarray, *, alpha: float, eps: float, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted ids and their PPR scores; each distinct seed id starts with
     mass ``1 / len(seed_rows)``. A vertex's triples are fetched once. The
     walk divides by degree (no reciprocal): top-k cuts see the last bit."""
@@ -60,24 +59,6 @@ def _ppr(kg: KG, seed_rows: np.ndarray, *, alpha: float, eps: float, iters: int)
     return ids, score
 
 
-def personalized_pagerank(
-    kg: KG,
-    seeds: DataFrame,
-    *,
-    alpha: float = 0.25,
-    eps: float = 2e-4,
-    iters: int = 10,
-) -> DataFrame:
-    """Approximate PPR scores ``(id, score)`` w.r.t. the seed set.
-
-    ``alpha`` is the teleport probability back to the seeds; entries below
-    ``eps`` are pruned every iteration so the frontier stays proportional
-    to the local cluster around the seeds, not the whole KG.
-    """
-    ids, score = _ppr(kg, collect_ids(seeds), alpha=alpha, eps=eps, iters=iters)
-    return kg.triples.sparkSession.createDataFrame(pd.DataFrame({"id": ids, "score": score}), "id long, score double")
-
-
 def ibs_sample(
     kg: KG,
     targets: DataFrame,
@@ -93,7 +74,7 @@ def ibs_sample(
     targets plus the top ``k*bs`` influential non-targets, induce KG'."""
     spark = kg.triples.sparkSession
     seeds = collect_ids(sample_vertices(targets, bs, seed=seed))
-    ids, score = _ppr(kg, seeds, alpha=alpha, eps=eps, iters=iters)
+    ids, score = ppr(kg, seeds, alpha=alpha, eps=eps, iters=iters)
     is_target = np.isin(ids, collect_ids(targets.select("id").join(F.broadcast(id_frame(spark, ids)), "id", "semi")))
     others = np.flatnonzero(~is_target)
     top = others[np.lexsort((ids[others], -score[others]))[: k * bs]]

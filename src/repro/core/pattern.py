@@ -29,9 +29,3 @@ class TOSGPattern:
         """Paper naming, e.g. ``d1h1`` in KG-TOSA_d1h1."""
         return f"d{self.d}h{self.h}"
 
-
-# Paper defaults (§V-B): d1h1 for node classification, d2h1 for link
-# prediction. The four evaluated variations of Figure 8:
-NC_DEFAULT = TOSGPattern(d=1, h=1)
-LP_DEFAULT = TOSGPattern(d=2, h=1)
-VARIATIONS = [TOSGPattern(1, 1), TOSGPattern(2, 1), TOSGPattern(1, 2), TOSGPattern(2, 2)]

@@ -77,22 +77,6 @@ class EncodedGraph:
         return self._csr
 
 
-def _collect(kgp: KG, *node_cols: str) -> tuple[pd.DataFrame, pd.DataFrame, pd.Index, np.ndarray, pd.Index]:
-    """Collect ``kgp`` to the driver: its vertex rows, its triples, the
-    vertex index, the triples in row order as ``(s, r, o)`` codes (vertex
-    positions, and positions in the sorted predicate names), and those
-    names. A triple whose endpoint is not a vertex raises ``KeyError``."""
-    nodes = kgp.nodes.select("id", *node_cols).toPandas()
-    trip = kgp.triples.select("s", "p", "o").toPandas()
-    index = pd.Index(nodes["id"].to_numpy())
-    rel, rel_names = pd.factorize(trip["p"], sort=True)
-    s, o = index.get_indexer(trip["s"]), index.get_indexer(trip["o"])
-    missing = set(trip["s"][s < 0].tolist()) | set(trip["o"][o < 0].tolist())
-    if missing:
-        raise KeyError(f"triple endpoints that are not vertices of {kgp.name}: {sorted(missing)[:5]}")
-    return nodes, trip, index, np.stack([s, rel, o], axis=1), rel_names
-
-
 def _norm(key: np.ndarray) -> np.ndarray:
     """Eq. 1's ``1/c_{i,r}`` with ``c_{i,r} = |N_i^r|``, for ``key`` naming
     each edge's ``(r, i)``."""
@@ -113,25 +97,25 @@ def encode_nc(kgp: KG, labelled: DataFrame, *, n_classes: int) -> EncodedGraph:
     sampler that lost targets simply has fewer supervised nodes — exactly
     the data insufficiency the paper measures).
     """
-    nodes, _, index, spo, base_rels = _collect(kgp)
+    g = kgp.local()
     lab = labelled.select("id", "label", "split").toPandas()
 
-    n = len(index)
-    s, r, o = spo.T
+    n = len(g.ids)
+    s, r, o = g.spo.T
     src, dst, rel = np.concatenate([s, o]), np.concatenate([o, s]), np.concatenate([2 * r, 2 * r + 1])
     order = np.argsort(rel, kind="stable")
     src, dst, rel = src[order], dst[order], rel[order]
 
     labels = np.full(n, -1, dtype=np.int64)
     masks = {split: np.zeros(n, dtype=bool) for split in ("train", "valid", "test")}
-    li = index.get_indexer(lab.id)
+    li = pd.Index(g.ids).get_indexer(lab.id)
     lab, li = lab[li >= 0], li[li >= 0]
     labels[li] = lab.label.to_numpy()
     for split in masks:
         masks[split][li[(lab.split == split).to_numpy()]] = True
     return EncodedGraph(
-        node_ids=nodes["id"].to_numpy(),
-        rel_names=[name for p in base_rels for name in (p, f"{p}_rev")],
+        node_ids=g.ids,
+        rel_names=[name for p in g.rel_names for name in (p, f"{p}_rev")],
         edges=EdgeTable(src, dst, rel, _norm(rel * n + dst)),
         labels=labels,
         masks=masks,
@@ -164,28 +148,28 @@ def encode_lp(kgp: KG, task_predicate: str, split_triples: DataFrame) -> Encoded
     ``(s, p, o, split)``. Valid/test task triples are removed from the
     training graph (no leakage); candidates are all objects whose node type
     matches any object type of ``p_T``."""
-    nodes, trip, index, spo, rel_names = _collect(kgp, "ntype")
+    g = kgp.local()
+    index, spo = pd.Index(g.ids), g.spo
     sp = split_triples.select("s", "o", "split").toPandas()
-    task_rel = rel_names.get_loc(task_predicate)
+    task_rel = g.rel_names.get_loc(task_predicate)
 
     # drop valid/test task edges from the trainable graph
     held = sp[sp.split != "train"]
     held_keys = set(zip(held.s.to_numpy(), held.o.to_numpy()))
-    drop = (spo[:, 1] == task_rel) & pd.MultiIndex.from_arrays([trip.s, trip.o]).isin(held_keys)
+    s_ids, o_ids = g.ids[spo[:, 0]], g.ids[spo[:, 2]]
+    drop = (spo[:, 1] == task_rel) & pd.MultiIndex.from_arrays([s_ids, o_ids]).isin(held_keys)
     splits = {}
     for s in ("train", "valid", "test"):
         sub = sp[sp.split == s]
         sub = sub[sub.s.isin(index) & sub.o.isin(index)]
         splits[s] = np.stack([index.get_indexer(sub.s), np.full(len(sub), task_rel), index.get_indexer(sub.o)], axis=1)
 
-    obj_types = set(
-        nodes.set_index("id").loc[sp.o.unique().tolist()]["ntype"].unique().tolist()
-    )
+    obj_types = pd.Series(g.ntype, index=index).loc[sp.o.unique().tolist()].to_numpy()
     return EncodedLP(
-        node_ids=nodes["id"].to_numpy(),
-        rel_names=list(rel_names),
+        node_ids=g.ids,
+        rel_names=list(g.rel_names),
         triples=spo[~drop],
         task_rel=task_rel,
         splits={k: v.astype(np.int64) for k, v in splits.items()},
-        candidates=np.flatnonzero(nodes.ntype.isin(obj_types)),
+        candidates=np.flatnonzero(np.isin(g.ntype, obj_types)),
     )

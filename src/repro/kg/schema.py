@@ -17,7 +17,10 @@ objects would be dropped at the adjacency-matrix transformation anyway).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -39,6 +42,17 @@ TRIPLES_SCHEMA = T.StructType(
 )
 
 
+class LocalKG(NamedTuple):
+    """A KG on the driver, in codes: vertex positions follow the row order
+    of ``nodes`` and triples the row order of ``triples``."""
+
+    ids: np.ndarray  # vertex position -> id
+    ntype: np.ndarray  # vertex position -> code in ntype_names
+    ntype_names: pd.Index  # sorted
+    spo: np.ndarray  # (n, 3) int64 rows: s position, relation code, o position
+    rel_names: pd.Index  # sorted
+
+
 @dataclass
 class KG:
     """A knowledge graph ``KG = (V, C, L, R, T)`` as Spark DataFrames."""
@@ -46,24 +60,27 @@ class KG:
     name: str
     nodes: DataFrame
     triples: DataFrame
+    _local: LocalKG | None = field(default=None, repr=False, compare=False)
 
-    def n_nodes(self) -> int:
-        """``|V|``."""
-        return self.nodes.count()
-
-    def n_edges(self) -> int:
-        """``|T|`` (number of RDF triples)."""
-        return self.triples.count()
-
-    def node_types(self) -> list[str]:
-        """The node-type set ``C``, sorted."""
-        return sorted(
-            r["ntype"] for r in self.nodes.select("ntype").distinct().collect()
-        )
-
-    def edge_types(self) -> list[str]:
-        """The relation set ``R``, sorted."""
-        return sorted(r["p"] for r in self.triples.select("p").distinct().collect())
+    def local(self) -> LocalKG:
+        """The KG collected to the driver once, for every driver-side
+        reader (the quality indicators and the encoders). The memo stays
+        valid because ``persist()`` and ``materialize`` only re-assign the
+        frames to the same rows. A triple whose endpoint is not a vertex
+        raises ``KeyError`` (Definition 2.1)."""
+        if self._local is None:
+            nodes = self.nodes.select("id", "ntype").toPandas()
+            trip = self.triples.select("s", "p", "o").toPandas()
+            index = pd.Index(nodes["id"].to_numpy(np.int64))
+            s, o = index.get_indexer(trip["s"]), index.get_indexer(trip["o"])
+            missing = set(trip["s"][s < 0].tolist()) | set(trip["o"][o < 0].tolist())
+            if missing:
+                raise KeyError(f"triple endpoints that are not vertices of {self.name}: {sorted(missing)[:5]}")
+            ntype, ntype_names = pd.factorize(nodes["ntype"], sort=True)
+            rel, rel_names = pd.factorize(trip["p"], sort=True)
+            spo = np.stack([s, rel, o], axis=1).astype(np.int64, copy=False)
+            self._local = LocalKG(index.to_numpy(), ntype, ntype_names, spo, rel_names)
+        return self._local
 
     def undirected_edges(self) -> DataFrame:
         """Edges as ``(src, dst)`` in both directions.

@@ -9,18 +9,18 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 
 from repro.kg.schema import KG
-from repro.metrics.topology import _collect
+from repro.metrics.topology import _local_and_mask
 
 
 def sufficiency_stats(kgp: KG, targets: DataFrame) -> dict:
     """Table III columns: ``V_T`` (targets present in KG'), ``V_T %``
     (share of KG' vertices that are targets), ``|C'|``, ``|R'|``."""
-    g = _collect(kgp, targets)
-    n_nodes, n_targets = len(g.nodes), int(g.in_t.sum())
+    g, in_t = _local_and_mask(kgp, targets)
+    n_nodes, n_targets = len(g.ids), int(in_t.sum())
     return {
         "V_T": n_targets,
         "V_T_pct": 100.0 * n_targets / max(1, n_nodes),
-        "C'": int(g.nodes["ntype"].nunique()),
-        "R'": int(g.triples["p"].nunique()),
+        "C'": len(g.ntype_names),
+        "R'": len(g.rel_names),
         "nodes": n_nodes,
     }

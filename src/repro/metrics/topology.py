@@ -11,47 +11,32 @@
   of per-vertex distinct-neighbour-type counts — higher means more
   diverse neighbourhoods.
 
-Every KG′ scored here is a sample bounded by bs·h or by the TOSG, so each
-indicator collects it once to the driver (as training does) and works on
-an undirected CSR in numpy instead of chaining small Spark jobs.
+Every KG′ scored here is a sample bounded by bs·h or by the TOSG, so the
+indicators read its driver-side form ``KG.local()``, collected once per KG
+and shared with the encoders, and work on an undirected CSR in numpy
+instead of chaining small Spark jobs. Vertex positions follow the row order
+of ``kgp.nodes``, which seeds the source draw of
+``avg_distance_to_targets``. A triple whose endpoint is not a vertex of KG′
+raises ``KeyError`` (Definition 2.1).
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
-import pandas as pd
 from numpy.typing import ArrayLike
 from pyspark.sql import DataFrame
 
-from repro.kg.schema import KG
+from repro.core.subgraph import collect_ids
+from repro.kg.schema import KG, LocalKG
 
 
-class _Collected(NamedTuple):
-    """KG′ on the driver. Vertex positions follow the row order of
-    ``kgp.nodes``, which seeds the source draw of
-    ``avg_distance_to_targets``."""
-
-    nodes: pd.DataFrame  # id, ntype
-    triples: pd.DataFrame  # s, p, o
-    indptr: np.ndarray  # undirected CSR over vertex positions
-    nbrs: np.ndarray
-    in_t: np.ndarray  # target mask over vertex positions
+def _csr(g: LocalKG) -> tuple[np.ndarray, np.ndarray]:
+    return undirected_csr(g.spo[:, 0], g.spo[:, 2], len(g.ids))
 
 
-def _collect(kgp: KG, targets: DataFrame | None = None) -> _Collected:
-    """Collect ``kgp`` and the ids of ``targets`` and build the undirected
-    CSR. Triples are over KG′'s vertices (Definition 2.1); one with an
-    endpoint outside them has no position and is left out of the CSR."""
-    nodes = kgp.nodes.select("id", "ntype").toPandas()
-    triples = kgp.triples.select("s", "p", "o").toPandas()
-    t_ids = [] if targets is None else targets.select("id").toPandas()["id"].to_numpy()
-    ids = nodes["id"].to_numpy()
-    pos = pd.Index(ids)
-    s, o = pos.get_indexer(triples["s"]), pos.get_indexer(triples["o"])
-    keep = (s >= 0) & (o >= 0)
-    indptr, nbrs = undirected_csr(s[keep], o[keep], len(ids))
-    return _Collected(nodes, triples, indptr, nbrs, np.isin(ids, t_ids))
+def _local_and_mask(kgp: KG, targets: DataFrame) -> tuple[LocalKG, np.ndarray]:
+    """``kgp.local()`` and its target mask over vertex positions."""
+    g = kgp.local()
+    return g, np.isin(g.ids, collect_ids(targets))
 
 
 def undirected_csr(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,10 +71,10 @@ def target_disconnected_pct(kgp: KG, targets: DataFrame, *, max_hops: int = 20) 
     """Table III "Target-Discon.(%)": % of non-target vertices of ``kgp``
     with no path of at most ``max_hops`` edges from a target inside
     ``kgp`` (0 when every vertex is a target, 100 when none is)."""
-    g = _collect(kgp, targets)
-    d = bfs(g.indptr, g.nbrs, np.flatnonzero(g.in_t), max_hops)
-    n_non = int((~g.in_t).sum())
-    return 100.0 * int(((d < 0) & ~g.in_t).sum()) / max(1, n_non)
+    g, in_t = _local_and_mask(kgp, targets)
+    d = bfs(*_csr(g), np.flatnonzero(in_t), max_hops)
+    n_non = int((~in_t).sum())
+    return 100.0 * int(((d < 0) & ~in_t).sum()) / max(1, n_non)
 
 
 def avg_distance_to_targets(
@@ -98,16 +83,17 @@ def avg_distance_to_targets(
     """Mean finite shortest-path distance over (non-target, target) pairs,
     estimated by BFS from ``n_sources`` sampled targets (NaN if no target
     reaches any non-target vertex)."""
-    g = _collect(kgp, targets)
-    t_pos = np.flatnonzero(g.in_t)
-    if len(t_pos) == 0 or g.in_t.all():
+    g, in_t = _local_and_mask(kgp, targets)
+    t_pos = np.flatnonzero(in_t)
+    if len(t_pos) == 0 or in_t.all():
         return float("nan")
+    indptr, nbrs = _csr(g)
     rng = np.random.default_rng(seed)
     srcs = rng.choice(t_pos, min(n_sources, len(t_pos)), replace=False)
     total = count = 0
     for s in srcs:
-        d = bfs(g.indptr, g.nbrs, [s], max_hops)
-        finite = d[(d > 0) & ~g.in_t]
+        d = bfs(indptr, nbrs, [s], max_hops)
+        finite = d[(d > 0) & ~in_t]
         total, count = total + int(finite.sum()), count + len(finite)
     return total / count if count else float("nan")
 
@@ -120,12 +106,12 @@ def neighbour_type_entropy(kgp: KG) -> float:
     Shannon entropy of that count's distribution over all vertices
     (isolated vertices count 0). An empty KG′ has entropy 0.
     """
-    g = _collect(kgp)
-    n = len(g.nodes)
-    codes, types = pd.factorize(g.nodes["ntype"])
-    src = np.repeat(np.arange(n), np.diff(g.indptr))
-    pairs = np.unique(src * len(types) + codes[g.nbrs])
-    per_vertex = np.bincount(pairs // len(types), minlength=n)
+    g = kgp.local()
+    n, k = len(g.ids), len(g.ntype_names)
+    indptr, nbrs = _csr(g)
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    pairs = np.unique(src * k + g.ntype[nbrs])
+    per_vertex = np.bincount(pairs // k, minlength=n)
     p = np.bincount(per_vertex) / n
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum()) + 0.0  # + 0.0 turns -0.0 into 0.0

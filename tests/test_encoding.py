@@ -12,6 +12,9 @@ from pyspark.sql import functions as F
 
 from repro.gnn.encoding import encode_lp, encode_nc
 from repro.kg.schema import make_kg
+from repro.kg.stats import kg_stats
+from repro.metrics.sufficiency import sufficiency_stats
+from repro.metrics.topology import avg_distance_to_targets, neighbour_type_entropy, target_disconnected_pct
 from repro.tasks.defs import TASKS
 from repro.tasks.splits import lp_frame, nc_frame
 from tests.strategies import case_kg, kgs_and_vertex_sets
@@ -26,20 +29,20 @@ def enc_mag(mag_bundle):
 
 def test_node_index_bijection(mag_bundle, enc_mag):
     enc, _ = enc_mag
-    assert len(enc.node_ids) == mag_bundle.kg.n_nodes()
+    assert len(enc.node_ids) == kg_stats(mag_bundle.kg)["nodes"]
     assert len(set(enc.node_ids)) == len(enc.node_ids)
 
 
 def test_reverse_relations_added(mag_bundle, enc_mag):
     enc, _ = enc_mag
-    base = mag_bundle.kg.edge_types()
-    assert enc.n_rels == 2 * len(base)
+    base = mag_bundle.kg.local().rel_names
+    assert enc.n_rels == 2 * kg_stats(mag_bundle.kg)["e_type"] == 2 * len(base)
     assert all(f"{p}_rev" in enc.rel_names for p in base)
 
 
 def test_edge_count_doubled_by_reverse(mag_bundle, enc_mag):
     enc, _ = enc_mag
-    assert enc.n_edges == 2 * mag_bundle.kg.n_edges()
+    assert enc.n_edges == 2 * kg_stats(mag_bundle.kg)["edges"]
 
 
 def test_reverse_edges_are_transposed(enc_mag):
@@ -177,8 +180,18 @@ def test_encoders_match_per_relation_reference(spark, case):
 
 
 def test_triple_endpoint_outside_the_vertices_raises(spark):
+    """Definition 2.1: every driver-side reader of a KG rejects a triple
+    whose endpoint is not one of its vertices."""
     kg = case_kg(spark, [(0, "A", None), (1, "B", None)], [(0, "p", 1), (0, "p", 7)])
-    with pytest.raises(KeyError, match=r"\[7\]"):
-        encode_nc(kg, _no_labels(spark), n_classes=2)
-    with pytest.raises(KeyError, match=r"\[7\]"):
-        encode_lp(kg, "p", spark.createDataFrame([], "s long, o long, split string"))
+    targets = spark.createDataFrame([(0,)], "id long")
+    readers = [
+        lambda: encode_nc(kg, _no_labels(spark), n_classes=2),
+        lambda: encode_lp(kg, "p", spark.createDataFrame([], "s long, o long, split string")),
+        lambda: sufficiency_stats(kg, targets),
+        lambda: target_disconnected_pct(kg, targets),
+        lambda: avg_distance_to_targets(kg, targets),
+        lambda: neighbour_type_entropy(kg),
+    ]
+    for read in readers:
+        with pytest.raises(KeyError, match=r"\[7\]"):
+            read()

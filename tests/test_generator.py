@@ -7,6 +7,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.kg import generator
+from repro.kg.stats import kg_stats
 from repro.tasks.defs import NC_TASKS, TASKS, target_vertices
 
 ALL_KGS = list(generator.GENERATORS)
@@ -16,8 +17,9 @@ ALL_KGS = list(generator.GENERATORS)
 def test_expected_type_counts(bundles, name):
     kg = bundles[name].kg
     n_types, e_types = generator.EXPECTED_TYPE_COUNTS[name]
-    assert len(kg.node_types()) == n_types
-    assert len(kg.edge_types()) == e_types
+    st = kg_stats(kg)
+    assert st["n_type"] == n_types
+    assert st["e_type"] == e_types
 
 
 @pytest.mark.parametrize("name", ALL_KGS)
@@ -52,7 +54,7 @@ def test_node_count_scales_with_sf(spark, name):
     # plan as a session fixture would drop that fixture's cache too
     small = generator.generate(name, spark, sf=0.05, seed=5)
     big = generator.generate(name, spark, sf=0.1, seed=5)
-    ns, nb = small.kg.n_nodes(), big.kg.n_nodes()
+    ns, nb = kg_stats(small.kg)["nodes"], kg_stats(big.kg)["nodes"]
     assert nb == pytest.approx(2 * ns, rel=0.15)
     small.unpersist(), big.unpersist()
 
@@ -142,7 +144,7 @@ def test_target_scarcity_profile(bundles):
     modest share — the target-ratio profile behind Table III's URW rows."""
     def ratio(name, ntype):
         kg = bundles[name].kg
-        return kg.vertices_of_type(ntype).count() / kg.n_nodes()
+        return kg.vertices_of_type(ntype).count() / kg_stats(kg)["nodes"]
 
     assert ratio("DBLP-15M", "Paper") > 0.4
     assert ratio("YAGO-30M", "CreativeWork") < 0.08

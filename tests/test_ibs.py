@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
-from repro.core.ibs import ibs_sample, personalized_pagerank
+from repro.core.ibs import ibs_sample, ppr
 from repro.core.walks import sample_vertices
 from repro.kg import generator
 from repro.kg.schema import make_kg
@@ -56,9 +56,14 @@ def _ids_frame(spark, ids):
     return spark.createDataFrame(pd.DataFrame({"id": np.asarray(ids, dtype=np.int64)}), "id long")
 
 
-def test_ppr_matches_dense_reference(spark, small_kg):
-    seeds = spark.createDataFrame(pd.DataFrame({"id": [0]}))
-    got = personalized_pagerank(small_kg, seeds, alpha=0.25, eps=0.0, iters=6).toPandas()
+def _ppr_frame(kg, seeds, *, alpha: float = 0.25, eps: float, iters: int) -> pd.DataFrame:
+    """``ppr`` of the seed ids as a frame ``(id, score)``."""
+    ids, score = ppr(kg, np.asarray(seeds, dtype=np.int64), alpha=alpha, eps=eps, iters=iters)
+    return pd.DataFrame({"id": ids, "score": score})
+
+
+def test_ppr_matches_dense_reference(small_kg):
+    got = _ppr_frame(small_kg, [0], alpha=0.25, eps=0.0, iters=6)
     ref = _reference_ppr(small_kg.triples.toPandas(), 6, [0], 0.25, 6)
     got_full = np.zeros(6)
     got_full[got.id.to_numpy()] = got.score.to_numpy()
@@ -87,15 +92,15 @@ def test_ppr_matches_pruned_reference(spark, case):
     nodes = pd.DataFrame({"id": range(n), "ntype": "T", "year": [None] * n})
     trip = pd.DataFrame(triples, columns=["s", "p", "o"]).astype({"s": "int64", "o": "int64"})
     kg = make_kg(spark, "prop", nodes, trip)
-    got = personalized_pagerank(kg, _ids_frame(spark, seeds), alpha=alpha, eps=eps, iters=iters).toPandas()
+    got = _ppr_frame(kg, seeds, alpha=alpha, eps=eps, iters=iters)
     ref = _reference_ppr(trip, n + 3, seeds, alpha, iters, eps)  # ids n..n+2 are absent from the KG
     assert sorted(got.id) == np.flatnonzero(ref).tolist()
     np.testing.assert_allclose(got.set_index("id").score.sort_index().to_numpy(), ref[ref > 0], rtol=1e-12)
 
 
-def test_ppr_no_seeds_is_empty(spark, small_kg):
-    got = personalized_pagerank(small_kg, _ids_frame(spark, []), eps=0.0, iters=4)
-    assert got.columns == ["id", "score"] and got.count() == 0
+def test_ppr_no_seeds_is_empty(small_kg):
+    ids, score = ppr(small_kg, np.empty(0, np.int64), alpha=0.25, eps=0.0, iters=4)
+    assert len(ids) == len(score) == 0
 
 
 def test_ppr_isolated_seed_keeps_teleport_mass(spark):
@@ -103,7 +108,7 @@ def test_ppr_isolated_seed_keeps_teleport_mass(spark):
     of seed rows, repeated rows counted."""
     nodes = pd.DataFrame({"id": [0, 1, 2], "ntype": ["T"] * 3, "year": [None] * 3})
     kg = make_kg(spark, "iso", nodes, pd.DataFrame({"s": [0], "p": ["e"], "o": [1]}))
-    got = personalized_pagerank(kg, _ids_frame(spark, [2, 2, 0]), alpha=0.25, eps=0.0, iters=3).toPandas()
+    got = _ppr_frame(kg, [2, 2, 0], alpha=0.25, eps=0.0, iters=3)
     assert got.set_index("id").score[2] == 0.25 / 3
 
 
@@ -112,13 +117,13 @@ def test_ppr_jobs_stop_once_frontier_saturates(spark, small_kg):
     ``eps=0`` the frontier covers the connected graph after 5 rounds, so
     further rounds run no Spark job."""
     sc = spark.sparkContext
-    seeds = _ids_frame(spark, [0])
+    seeds = np.array([0], np.int64)
 
     def jobs(iters: int) -> int:
         group = f"test-ppr-jobs-{iters}"
-        sc.setJobGroup(group, "personalized_pagerank")
+        sc.setJobGroup(group, "ppr")
         try:
-            personalized_pagerank(small_kg, seeds, eps=0.0, iters=iters)
+            ppr(small_kg, seeds, alpha=0.25, eps=0.0, iters=iters)
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         sc._jsc.sc().listenerBus().waitUntilEmpty()
@@ -127,23 +132,20 @@ def test_ppr_jobs_stop_once_frontier_saturates(spark, small_kg):
     assert jobs(6) == jobs(10) > 0
 
 
-def test_ppr_mass_bounded(spark, small_kg):
-    seeds = spark.createDataFrame(pd.DataFrame({"id": [0, 1]}))
-    p = personalized_pagerank(small_kg, seeds, eps=0.0, iters=8).toPandas()
+def test_ppr_mass_bounded(small_kg):
+    p = _ppr_frame(small_kg, [0, 1], eps=0.0, iters=8)
     assert p.score.sum() <= 1.0 + 1e-9
     assert (p.score >= 0).all()
 
 
-def test_ppr_seed_scores_dominate(spark, small_kg):
-    seeds = spark.createDataFrame(pd.DataFrame({"id": [0]}))
-    p = personalized_pagerank(small_kg, seeds, eps=0.0, iters=8).toPandas().set_index("id")["score"]
+def test_ppr_seed_scores_dominate(small_kg):
+    p = _ppr_frame(small_kg, [0], eps=0.0, iters=8).set_index("id")["score"]
     assert p[0] == p.max()
 
 
-def test_ppr_eps_prunes(spark, small_kg):
-    seeds = spark.createDataFrame(pd.DataFrame({"id": [0]}))
-    dense = personalized_pagerank(small_kg, seeds, eps=0.0, iters=6).count()
-    pruned = personalized_pagerank(small_kg, seeds, eps=0.05, iters=6).count()
+def test_ppr_eps_prunes(small_kg):
+    dense = len(_ppr_frame(small_kg, [0], eps=0.0, iters=6))
+    pruned = len(_ppr_frame(small_kg, [0], eps=0.05, iters=6))
     assert pruned <= dense
 
 
@@ -151,8 +153,7 @@ def test_ppr_unreachable_gets_no_mass(spark):
     nodes = pd.DataFrame({"id": [0, 1, 2], "ntype": ["T"] * 3, "year": pd.array([None] * 3, dtype="Int64")})
     triples = pd.DataFrame({"s": [0], "p": ["e"], "o": [1]})
     kg = make_kg(spark, "disc", nodes, triples)
-    seeds = spark.createDataFrame(pd.DataFrame({"id": [0]}))
-    p = personalized_pagerank(kg, seeds, eps=0.0, iters=5).toPandas()
+    p = _ppr_frame(kg, [0], eps=0.0, iters=5)
     assert 2 not in set(p.id)
 
 

@@ -13,6 +13,7 @@ from repro.gnn.encoding import encode_lp, encode_nc
 from repro.gnn.lp import train_transe
 from repro.gnn.saint import train_saint
 from repro.kg.partition import build_index
+from repro.kg.stats import kg_stats
 from repro.metrics.sufficiency import sufficiency_stats
 from repro.metrics.topology import target_disconnected_pct
 from repro.tasks.defs import TASKS, target_vertices
@@ -110,8 +111,9 @@ def test_lp_kgp_smaller_than_fg(wikikg2_bundle):
     kgp = materialize(
         extract_tosg(idx, targets, TOSGPattern(2, 1), lp_predicate=task.predicate)
     )
-    assert kgp.n_nodes() < wikikg2_bundle.kg.n_nodes()
-    assert kgp.n_edges() < wikikg2_bundle.kg.n_edges()
+    sub, full = kg_stats(kgp), kg_stats(wikikg2_bundle.kg)
+    assert sub["nodes"] < full["nodes"]
+    assert sub["edges"] < full["edges"]
     kgp.unpersist()
     idx.unpersist()
 

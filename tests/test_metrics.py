@@ -1,6 +1,7 @@
 """Quality indicators (Table III columns): the CSR BFS, hand-computed
 entropy cases, defined results on degenerate inputs, DuckDB oracle checks
-on real samples, and a property test against plain-Python definitions."""
+on real samples, a job count of one collection per KG′, and a property
+test against plain-Python definitions."""
 import math
 from collections import Counter
 
@@ -10,14 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kg.schema import make_kg
+from repro.bench.tables import _quality
+from repro.core.subgraph import materialize
+from repro.gnn.encoding import encode_nc
+from repro.kg.schema import KG, make_kg
 from repro.metrics.sufficiency import sufficiency_stats
 from repro.metrics.topology import (
-    _collect,
     avg_distance_to_targets,
     bfs,
     neighbour_type_entropy,
     target_disconnected_pct,
+    undirected_csr,
 )
 from repro.oracle import assert_equivalent
 
@@ -57,10 +61,10 @@ def t_of(spark):
 def _bfs_ids(kg, sources, max_hops=15) -> dict:
     """``bfs`` over ``kg``'s CSR with vertex ids in and out; unreached
     vertices are left out."""
-    g = _collect(kg)
-    ids = g.nodes["id"].to_numpy()
-    d = bfs(g.indptr, g.nbrs, pd.Index(ids).get_indexer(sources), max_hops)
-    return {int(i): int(x) for i, x in zip(ids, d) if x >= 0}
+    g = kg.local()
+    indptr, nbrs = undirected_csr(g.spo[:, 0], g.spo[:, 2], len(g.ids))
+    d = bfs(indptr, nbrs, pd.Index(g.ids).get_indexer(sources), max_hops)
+    return {int(i): int(x) for i, x in zip(g.ids, d) if x >= 0}
 
 
 def test_bfs_distances_exact(line_kg):
@@ -231,6 +235,33 @@ def test_disconnected_pct_against_oracle(spark, request, mag_pv_targets, sample)
     )
 
 
+def _jobs(spark, fn) -> int:
+    """The number of Spark jobs ``fn()`` runs, counted by job group."""
+    sc = spark.sparkContext
+    group = f"test-metrics-jobs-{id(fn)}"
+    sc.setJobGroup(group, "count jobs")
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_one_collection_per_kgp(spark, mag_d1h1, mag_pv_targets):
+    """A Table III cell's indicators and the encoder read one collection of
+    a freshly materialized KG′: one job for its vertex rows and one for its
+    triples, plus one collection of the targets for each of the three
+    indicator calls that take them and one of the labels. A second
+    ``local()`` runs none."""
+    kgp = materialize(KG("d1h1-fresh", mag_d1h1.nodes, mag_d1h1.triples))  # the fixture's cached frames
+    labels = spark.createDataFrame([(0, 0, "train"), (1, 1, "test")], "id long, label long, split string").persist()
+    labels.count()
+    assert _jobs(spark, lambda: (_quality(kgp, mag_pv_targets), encode_nc(kgp, labels, n_classes=2))) == 2 + 3 + 1
+    assert _jobs(spark, kgp.local) == 0
+    labels.unpersist()
+
+
 def _reference(types: dict, triples: list, targets: list, *, n_sources: int, max_hops=20, seed=0):
     """The four indicators from their definitions, in plain Python."""
     ids, t_set = list(types), set(targets)
@@ -284,7 +315,7 @@ def small_kgs(draw):
     return types, triples, targets
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(small_kgs())
 def test_indicators_match_definitions(spark, t_of, case):
     types, triples, targets = case

@@ -1,7 +1,7 @@
 """The TOSG generic graph pattern object."""
 import pytest
 
-from repro.core.pattern import LP_DEFAULT, NC_DEFAULT, VARIATIONS, TOSGPattern
+from repro.core.pattern import TOSGPattern
 
 
 @pytest.mark.parametrize("d,h,variant", [(1, 1, "d1h1"), (2, 1, "d2h1"), (1, 2, "d1h2"), (2, 2, "d2h2")])
@@ -19,12 +19,6 @@ def test_invalid_direction_rejected(d):
 def test_invalid_hops_rejected(h):
     with pytest.raises(ValueError):
         TOSGPattern(h=h)
-
-
-def test_paper_defaults():
-    assert NC_DEFAULT.variant == "d1h1"
-    assert LP_DEFAULT.variant == "d2h1"
-    assert [p.variant for p in VARIATIONS] == ["d1h1", "d2h1", "d1h2", "d2h2"]
 
 
 def test_pattern_frozen_hashable():

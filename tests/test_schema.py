@@ -1,4 +1,6 @@
-"""KG data model helpers (Definition 2.1) — counts oracle-checked."""
+"""KG data model helpers (Definition 2.1): the driver-side codes of
+``KG.local()`` against the fixture's lists, and undirected edges
+oracle-checked."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -18,14 +20,15 @@ def tiny_kg(spark):
     kg.unpersist()
 
 
-def test_counts(tiny_kg):
-    assert tiny_kg.n_nodes() == 4
-    assert tiny_kg.n_edges() == 3
-
-
-def test_type_sets(tiny_kg):
-    assert tiny_kg.node_types() == ["A", "B", "C"]
-    assert tiny_kg.edge_types() == ["x", "y"]
+def test_local_codes(tiny_kg):
+    """Vertices in row order, sorted type and relation names, and each
+    triple as (s position, relation code, o position) in row order."""
+    g = tiny_kg.local()
+    assert g.ids.tolist() == [0, 1, 2, 3]
+    assert list(g.ntype_names) == ["A", "B", "C"] and g.ntype.tolist() == [0, 0, 1, 2]
+    assert list(g.rel_names) == ["x", "y"]
+    assert g.spo.dtype == "int64" and g.spo.tolist() == [[0, 0, 2], [1, 0, 2], [2, 1, 3]]
+    assert tiny_kg.local() is g
 
 
 def test_vertices_of_type(tiny_kg):
