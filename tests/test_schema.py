@@ -20,13 +20,24 @@ def tiny_kg(spark):
     kg.unpersist()
 
 
+def test_counts(tiny_kg):
+    g = tiny_kg.local()
+    assert len(g.ids) == 4
+    assert len(g.spo) == 3
+
+
+def test_type_sets(tiny_kg):
+    g = tiny_kg.local()
+    assert list(g.ntype_names) == ["A", "B", "C"]
+    assert list(g.rel_names) == ["x", "y"]
+
+
 def test_local_codes(tiny_kg):
-    """Vertices in row order, sorted type and relation names, and each
-    triple as (s position, relation code, o position) in row order."""
+    """Vertices in row order, ntype codes, and each triple as
+    (s position, relation code, o position) in row order."""
     g = tiny_kg.local()
     assert g.ids.tolist() == [0, 1, 2, 3]
-    assert list(g.ntype_names) == ["A", "B", "C"] and g.ntype.tolist() == [0, 0, 1, 2]
-    assert list(g.rel_names) == ["x", "y"]
+    assert g.ntype.tolist() == [0, 0, 1, 2]
     assert g.spo.dtype == "int64" and g.spo.tolist() == [[0, 0, 2], [1, 0, 2], [2, 1, 3]]
     assert tiny_kg.local() is g
 
