@@ -97,7 +97,7 @@ def encode_nc(kgp: KG, labelled: DataFrame, *, n_classes: int) -> EncodedGraph:
     sampler that lost targets simply has fewer supervised nodes — exactly
     the data insufficiency the paper measures).
     """
-    g = kgp.local()
+    g = kgp.local(keep=False)
     lab = labelled.select("id", "label", "split").toPandas()
 
     n = len(g.ids)
@@ -148,7 +148,7 @@ def encode_lp(kgp: KG, task_predicate: str, split_triples: DataFrame) -> Encoded
     ``(s, p, o, split)``. Valid/test task triples are removed from the
     training graph (no leakage); candidates are all objects whose node type
     matches any object type of ``p_T``."""
-    g = kgp.local()
+    g = kgp.local(keep=False)
     index, spo = pd.Index(g.ids), g.spo
     sp = split_triples.select("s", "o", "split").toPandas()
     task_rel = g.rel_names.get_loc(task_predicate)

@@ -62,25 +62,32 @@ class KG:
     triples: DataFrame
     _local: LocalKG | None = field(default=None, repr=False, compare=False)
 
-    def local(self) -> LocalKG:
-        """The KG collected to the driver once, for every driver-side
-        reader (the quality indicators and the encoders). The memo stays
-        valid because ``persist()`` and ``materialize`` only re-assign the
-        frames to the same rows. A triple whose endpoint is not a vertex
-        raises ``KeyError`` (Definition 2.1)."""
-        if self._local is None:
-            nodes = self.nodes.select("id", "ntype").toPandas()
-            trip = self.triples.select("s", "p", "o").toPandas()
-            index = pd.Index(nodes["id"].to_numpy(np.int64))
-            s, o = index.get_indexer(trip["s"]), index.get_indexer(trip["o"])
-            missing = set(trip["s"][s < 0].tolist()) | set(trip["o"][o < 0].tolist())
-            if missing:
-                raise KeyError(f"triple endpoints that are not vertices of {self.name}: {sorted(missing)[:5]}")
-            ntype, ntype_names = pd.factorize(nodes["ntype"], sort=True)
-            rel, rel_names = pd.factorize(trip["p"], sort=True)
-            spo = np.stack([s, rel, o], axis=1).astype(np.int64, copy=False)
-            self._local = LocalKG(index.to_numpy(), ntype, ntype_names, spo, rel_names)
-        return self._local
+    def local(self, *, keep: bool = True) -> LocalKG:
+        """The KG collected to the driver, for every driver-side reader (the
+        quality indicators and the encoders). The first collection is kept,
+        so the four indicator calls on a KG′ and its encoding share one;
+        the memo stays valid because ``persist()`` and ``materialize`` only
+        re-assign the frames to the same rows. ``keep=False`` still reads a
+        kept collection but does not keep a new one: the encoders read a
+        graph once, and a full graph's arrays should not outlive its
+        encoding. A triple whose endpoint is not a vertex raises
+        ``KeyError`` (Definition 2.1)."""
+        if self._local is not None:
+            return self._local
+        nodes = self.nodes.select("id", "ntype").toPandas()
+        trip = self.triples.select("s", "p", "o").toPandas()
+        index = pd.Index(nodes["id"].to_numpy(np.int64))
+        s, o = index.get_indexer(trip["s"]), index.get_indexer(trip["o"])
+        missing = set(trip["s"][s < 0].tolist()) | set(trip["o"][o < 0].tolist())
+        if missing:
+            raise KeyError(f"triple endpoints that are not vertices of {self.name}: {sorted(missing)[:5]}")
+        ntype, ntype_names = pd.factorize(nodes["ntype"], sort=True)
+        rel, rel_names = pd.factorize(trip["p"], sort=True)
+        spo = np.stack([s, rel, o], axis=1).astype(np.int64, copy=False)
+        g = LocalKG(index.to_numpy(), ntype, ntype_names, spo, rel_names)
+        if keep:
+            self._local = g
+        return g
 
     def undirected_edges(self) -> DataFrame:
         """Edges as ``(src, dst)`` in both directions.

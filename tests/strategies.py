@@ -1,5 +1,7 @@
-"""Hypothesis strategies shared by the property tests, and the KG a drawn
-case describes."""
+"""Hypothesis strategies shared by the property tests, the KG a drawn case
+describes, and a count of the Spark jobs a call runs."""
+import itertools
+
 import pandas as pd
 from hypothesis import strategies as st
 
@@ -38,3 +40,19 @@ def case_kg(spark, nodes, triples):
         pd.DataFrame(nodes, columns=["id", "ntype", "year"]).astype({"id": "int64", "ntype": "object"}),
         pd.DataFrame(triples, columns=["s", "p", "o"]).astype({"s": "int64", "p": "object", "o": "int64"}),
     )
+
+
+_groups = itertools.count()
+
+
+def count_jobs(spark, fn) -> int:
+    """The number of Spark jobs ``fn()`` runs, counted by job group."""
+    sc = spark.sparkContext
+    group = f"test-jobs-{next(_groups)}"
+    sc.setJobGroup(group, "count jobs")
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))

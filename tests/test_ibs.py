@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 from repro.core.ibs import ibs_sample, ppr
+from repro.core.subgraph import materialize
 from repro.core.walks import sample_vertices
 from repro.kg import generator
 from repro.kg.schema import make_kg
 from repro.oracle import assert_equivalent
 from repro.tasks.defs import TASKS, target_vertices
+from tests.strategies import count_jobs
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +31,7 @@ def small_kg(spark):
             "o": [1, 2, 3, 3, 4, 5],
         }
     )
-    kg = make_kg(spark, "small", nodes, triples).persist()
+    kg = materialize(make_kg(spark, "small", nodes, triples))  # cached now, so job counts see only PPR's jobs
     yield kg
     kg.unpersist()
 
@@ -116,18 +118,10 @@ def test_ppr_jobs_stop_once_frontier_saturates(spark, small_kg):
     """Spark only fetches the triples of vertices new to the frontier: with
     ``eps=0`` the frontier covers the connected graph after 5 rounds, so
     further rounds run no Spark job."""
-    sc = spark.sparkContext
     seeds = np.array([0], np.int64)
 
     def jobs(iters: int) -> int:
-        group = f"test-ppr-jobs-{iters}"
-        sc.setJobGroup(group, "ppr")
-        try:
-            ppr(small_kg, seeds, alpha=0.25, eps=0.0, iters=iters)
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        sc._jsc.sc().listenerBus().waitUntilEmpty()
-        return len(sc.statusTracker().getJobIdsForGroup(group))
+        return count_jobs(spark, lambda: ppr(small_kg, seeds, alpha=0.25, eps=0.0, iters=iters))
 
     assert jobs(6) == jobs(10) > 0
 

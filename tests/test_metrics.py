@@ -24,6 +24,7 @@ from repro.metrics.topology import (
     undirected_csr,
 )
 from repro.oracle import assert_equivalent
+from tests.strategies import count_jobs
 
 
 def _kg(spark, name, types: dict, edges: list):
@@ -235,30 +236,25 @@ def test_disconnected_pct_against_oracle(spark, request, mag_pv_targets, sample)
     )
 
 
-def _jobs(spark, fn) -> int:
-    """The number of Spark jobs ``fn()`` runs, counted by job group."""
-    sc = spark.sparkContext
-    group = f"test-metrics-jobs-{id(fn)}"
-    sc.setJobGroup(group, "count jobs")
-    try:
-        fn()
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    return len(sc.statusTracker().getJobIdsForGroup(group))
-
-
 def test_one_collection_per_kgp(spark, mag_d1h1, mag_pv_targets):
     """A Table III cell's indicators and the encoder read one collection of
     a freshly materialized KG′: one job for its vertex rows and one for its
     triples, plus one collection of the targets for each of the three
     indicator calls that take them and one of the labels. A second
-    ``local()`` runs none."""
-    kgp = materialize(KG("d1h1-fresh", mag_d1h1.nodes, mag_d1h1.triples))  # the fixture's cached frames
+    ``local()`` runs none. An encoder alone keeps no collection, so each
+    encoding of a graph that was not scored, such as Table IV's full
+    graph, pays for its own."""
+    def fresh():
+        return materialize(KG("d1h1-fresh", mag_d1h1.nodes, mag_d1h1.triples))  # the fixture's cached frames
+
     labels = spark.createDataFrame([(0, 0, "train"), (1, 1, "test")], "id long, label long, split string").persist()
     labels.count()
-    assert _jobs(spark, lambda: (_quality(kgp, mag_pv_targets), encode_nc(kgp, labels, n_classes=2))) == 2 + 3 + 1
-    assert _jobs(spark, kgp.local) == 0
+    kgp = fresh()
+    assert count_jobs(spark, lambda: (_quality(kgp, mag_pv_targets), encode_nc(kgp, labels, n_classes=2))) == 2 + 3 + 1
+    assert count_jobs(spark, kgp.local) == 0
+    kg = fresh()
+    encode = lambda: encode_nc(kg, labels, n_classes=2)  # noqa: E731
+    assert count_jobs(spark, encode) == count_jobs(spark, encode) == 2 + 1
     labels.unpersist()
 
 
