@@ -7,6 +7,7 @@ paper's 3TB testbed (DESIGN.md §4.6).
 """
 from __future__ import annotations
 
+import gc
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -21,10 +22,13 @@ def timed(store: dict, key: str):
 
 
 def measured(fn, *args, **kwargs):
-    """Run ``fn`` returning ``(result, seconds, peak_mb)``."""
+    """Run ``fn`` returning ``(result, seconds, peak_mb)``. Garbage is
+    collected first, so the peak does not depend on what the interpreter
+    holds at entry or on when its collector would next run."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
+    gc.collect()
     tracemalloc.reset_peak()
     t0 = time.perf_counter()
     result = fn(*args, **kwargs)

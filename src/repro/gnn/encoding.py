@@ -164,7 +164,8 @@ def encode_lp(kgp: KG, task_predicate: str, split_triples: DataFrame) -> Encoded
         sub = sub[sub.s.isin(index) & sub.o.isin(index)]
         splits[s] = np.stack([index.get_indexer(sub.s), np.full(len(sub), task_rel), index.get_indexer(sub.o)], axis=1)
 
-    obj_types = pd.Series(g.ntype, index=index).loc[sp.o.unique().tolist()].to_numpy()
+    objs = index.get_indexer(sp.o.unique())  # -1: an object that is not a vertex, dropped above
+    obj_types = g.ntype[objs[objs >= 0]]
     return EncodedLP(
         node_ids=g.ids,
         rel_names=list(g.rel_names),

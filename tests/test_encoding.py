@@ -131,6 +131,17 @@ def test_encode_lp_split_sizes_match_frame(dblp_bundle):
         assert len(enc.splits[s]) == counts.get(s, 0)
 
 
+def test_encode_lp_object_outside_the_graph_is_dropped(spark):
+    """A task pair whose object is not a vertex of the graph is left out of
+    the splits and of the candidate types alike."""
+    kg = case_kg(spark, [(0, "A", None), (1, "B", None), (2, "B", None)], [(0, "p", 1), (0, "p", 2)])
+    split = spark.createDataFrame([(0, 1, "train"), (0, 9, "test")], "s long, o long, split string")
+    enc = encode_lp(kg, "p", split)
+    assert enc.splits["train"].tolist() == [[0, 0, 1]]
+    assert enc.splits["test"].shape == (0, 3)
+    assert enc.candidates.tolist() == [1, 2]
+
+
 def _no_labels(spark):
     return spark.createDataFrame([], "id long, label long, split string")
 

@@ -15,8 +15,8 @@ from repro.core.subgraph import materialize
 from repro.core.walks import sample_vertices
 from repro.kg import generator
 from repro.kg.schema import make_kg
-from repro.oracle import assert_equivalent
 from repro.tasks.defs import TASKS, target_vertices
+from tests.oracle import assert_equivalent
 from tests.strategies import count_jobs
 
 

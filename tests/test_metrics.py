@@ -23,7 +23,7 @@ from repro.metrics.topology import (
     target_disconnected_pct,
     undirected_csr,
 )
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 from tests.strategies import count_jobs
 
 

@@ -17,8 +17,8 @@ from repro.core.sparql_extract import extract_tosg
 from repro.core.subgraph import ROW_ORDER_BUCKETS
 from repro.kg.partition import build_index
 from repro.kg.schema import make_kg
-from repro.oracle import assert_equivalent
 from repro.tasks.defs import TASKS, target_vertices
+from tests.oracle import assert_equivalent
 from tests.strategies import case_kg, kgs_and_vertex_sets
 
 # The four d·h variations the paper evaluates (Figure 8).

@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.kg.stats import kg_stats
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 def test_kg_stats_against_oracle(spark, mag_bundle):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 
 from repro.core.subgraph import from_triples, induced_subgraph, materialize
 from repro.metrics.topology import avg_distance_to_targets
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 from tests.strategies import case_kg, kgs_and_vertex_sets
 
 

@@ -1,5 +1,6 @@
 """Table harnesses: structure of the produced frames and the paper-shape
 invariants they must exhibit at unit-test scale."""
+import gc
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bench.measure import measured
 from repro.bench.tables import (
     PAPER_TABLE1,
     T3_TASKS,
@@ -158,3 +160,24 @@ def test_run_table_rejects_bad_table_number(argv):
     assert p.returncode == 2
     assert p.stdout == ""
     assert p.stderr.startswith("usage: run_table.py N [sf]") and p.stderr.count("\n") == 1
+
+
+def _cycles(n: int) -> None:
+    """Leave ``n`` reference cycles, each holding 10 KB, for the garbage
+    collector: one tracked container per cycle."""
+    for _ in range(n):
+        a = [bytes(10_000)]
+        a.append(a)
+
+
+def test_measured_peak_ignores_garbage_held_at_entry():
+    """Table IV's memory cells: the same call reports the same peak whether
+    or not the interpreter holds cyclic garbage when it starts. 400 cycles
+    of garbage at entry would make the collector run partway through the
+    measured call's 500 cycles (its threshold is 700) and lower its peak."""
+    gc.collect()
+    _, _, clean = measured(_cycles, 500)
+    gc.collect()
+    _cycles(400)
+    _, _, dirty = measured(_cycles, 500)
+    assert clean > 4.5 and dirty == pytest.approx(clean, rel=0.01)

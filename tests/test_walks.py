@@ -1,13 +1,22 @@
-"""Distributed random-walk samplers (URW baseline + Algorithm 1 BRW):
-invariants rather than exact node sets (the walker is randomized)."""
+"""Random-walk samplers (URW baseline + Algorithm 1 BRW): Spark's draws
+reproduced exactly, the walk against a Spark step loop, invariants of the
+samples, and the samplers on degenerate inputs."""
+import warnings
+
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.bench.tables import _quality
 from repro.core.brw import brw_sample
+from repro.core.ibs import ibs_sample
+from repro.core.subgraph import collect_ids
 from repro.core.urw import urw_sample
-from repro.core.walks import random_walk_visited, sample_vertices
+from repro.core.walks import SparkRand, random_walk_visited, sample_vertices
 from repro.kg.schema import make_kg
+from tests.oracle import spark_walk_visited
+from tests.strategies import case_kg
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +100,69 @@ def test_walker_deterministic_given_seed(spark, path_kg):
     a = {r["id"] for r in random_walk_visited(path_kg, roots, 3, seed=42).collect()}
     b = {r["id"] for r in random_walk_visited(path_kg, roots, 3, seed=42).collect()}
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [0, 7, -5, 2**31 + 3, 11 + 1000 * 2])
+def test_spark_rand_matches_spark(spark, seed):
+    want = [r[0] for r in spark.range(300).coalesce(1).select(F.rand(seed)).collect()]
+    assert SparkRand(seed).doubles(300).tolist() == want
+
+
+@pytest.mark.parametrize("roots,h,seed", [([0, 2, 4, 9], 4, 0), ([1, 2, 3], 3, 5), ([0, 1, 2, 3, 4], 2, 12)])
+def test_walk_matches_spark_step_loop_on_a_path(spark, path_kg, roots, h, seed):
+    """Several walkers on one vertex and walkers stranded at vertex 9."""
+    r = spark.createDataFrame(pd.DataFrame({"id": roots}))
+    got = collect_ids(random_walk_visited(path_kg, r, h, seed=seed))
+    assert np.sort(got).tolist() == spark_walk_visited(path_kg, r, h, seed=seed).tolist()
+
+
+@pytest.mark.parametrize("bs,h,seed", [(10, 1, 1), (25, 3, 4), (40, 2, 9)])
+def test_walk_matches_spark_step_loop_on_mag(mag_bundle, bs, h, seed):
+    roots = sample_vertices(mag_bundle.kg.nodes, bs, seed=seed)
+    got = collect_ids(random_walk_visited(mag_bundle.kg, roots, h, seed=seed))
+    assert np.sort(got).tolist() == spark_walk_visited(mag_bundle.kg, roots, h, seed=seed).tolist()
+
+
+# Degenerate inputs. Targets 0-2 (type T) have no triples; 10-13 (type U)
+# form a path, or have no triples either.
+_TARGETS = {0, 1, 2}
+_NODES = [(v, "T", None) for v in sorted(_TARGETS)] + [(v, "U", None) for v in (10, 11, 12, 13)]
+_PATH = [(10, "r", 11), (11, "r", 12), (12, "r", 13)]
+_SAMPLERS = {
+    "URW": lambda kg, t, bs, h: urw_sample(kg, bs=bs, h=h, seed=3),
+    "BRW": lambda kg, t, bs, h: brw_sample(kg, t, bs=bs, h=h, seed=3),
+    "IBS": lambda kg, t, bs, h: ibs_sample(kg, t, bs=bs, iters=h, seed=3),
+}
+
+
+@pytest.mark.parametrize("method", list(_SAMPLERS))
+@pytest.mark.parametrize(
+    "triples,bs,h",
+    [([], 2, 2), (_PATH, 2, 2), (_PATH, 3, 0), (_PATH, 9, 2)],
+    ids=["no_triples", "isolated_targets", "h0", "bs_over_targets"],
+)
+def test_sampler_on_degenerate_input(spark, method, triples, bs, h):
+    """URW draws ``bs`` roots from all vertices, BRW and IBS from the
+    targets (``h`` is IBS's PPR iterations), all of them when ``bs``
+    exceeds their number. With ``h=0``, or where the roots have no
+    triples, the sample is the roots and the triples among them; only
+    URW's roots on the path walk on. Scoring a sample emits no numpy
+    warning."""
+    kg = case_kg(spark, _NODES, triples)
+    targets = spark.createDataFrame([(v,) for v in sorted(_TARGETS)], "id long")
+    pool = kg.nodes if method == "URW" else targets
+    roots = set(collect_ids(sample_vertices(pool, bs, seed=3)).tolist())
+    assert len(roots) == min(bs, pool.count())
+
+    sub = _SAMPLERS[method](kg, targets, bs, h)
+    got = set(collect_ids(sub.nodes).tolist())
+    if method == "URW" and triples and h > 0:
+        assert roots <= got and got & _TARGETS == roots & _TARGETS
+    else:
+        assert got == roots
+    trip = sub.triples.toPandas()
+    assert sorted(zip(trip.s, trip.o)) == [(s, o) for s, _, o in triples if {s, o} <= got]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error", RuntimeWarning)
+        q = _quality(sub, targets)
+    assert (q["nodes"], q["V_T"]) == (len(got), len(got & _TARGETS))
