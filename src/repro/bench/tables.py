@@ -21,7 +21,6 @@ from repro.core.ibs import ibs_sample
 from repro.core.pattern import TOSGPattern
 from repro.core.sparql_extract import extract_tosg
 from repro.core.subgraph import materialize
-from repro.core.urw import urw_sample
 from repro.gnn.encoding import encode_nc
 from repro.gnn.saint import train_saint
 from repro.kg import generator
@@ -156,6 +155,19 @@ def _task_bundles(spark: SparkSession, keys, sf: float):
         b.unpersist()
 
 
+def _indexed_task_bundles(spark: SparkSession, keys, sf: float):
+    """``_task_bundles`` plus each KG's triple index, built on the KG's first
+    task and unpersisted after its last."""
+    last = {TASKS[key].kg_name: key for key in keys}
+    indices: dict[str, object] = {}
+    for key, task, bundle in _task_bundles(spark, keys, sf):
+        if task.kg_name not in indices:
+            indices[task.kg_name] = build_index(bundle.kg)
+        yield key, task, bundle, indices[task.kg_name]
+        if last[task.kg_name] == key:
+            indices.pop(task.kg_name).unpersist()
+
+
 def _seed_averaged_acc(enc, sampler: str, seed: int, tp: dict) -> tuple[float, dict, float, float]:
     """SAINT test accuracy averaged over seeds ``seed … seed+N_ACC_SEEDS−1``
     (the paper also reports the average of three runs per method, §V-A.3).
@@ -248,13 +260,12 @@ def table3(spark: SparkSession, *, sf: float = 1.0, with_accuracy: bool = True, 
     """
     p = t3_params(sf)
     rows = []
-    for key, task, bundle in _task_bundles(spark, T3_TASKS, sf):
+    for key, task, bundle, index in _indexed_task_bundles(spark, T3_TASKS, sf):
         kg = bundle.kg
         targets = target_vertices(kg, task).persist()
-        index = build_index(kg)
 
         extractors = {
-            "RW": lambda: urw_sample(kg, bs=p["bs"], h=p["walk_h"], seed=seed),
+            "RW": lambda: brw_sample(kg, kg.nodes, bs=p["bs"], h=p["walk_h"], seed=seed),
             "BRW": lambda: brw_sample(kg, targets, bs=p["bs"], h=p["walk_h"], seed=seed),
             "IBS": lambda: ibs_sample(
                 kg, targets, bs=p["bs"], k=p["ibs_k"], alpha=p["alpha"],
@@ -304,7 +315,6 @@ def table3(spark: SparkSession, *, sf: float = 1.0, with_accuracy: bool = True, 
                 }
             )
             kgp.unpersist()
-        index.unpersist()
         targets.unpersist()
     return pd.DataFrame(rows)
 
@@ -332,7 +342,7 @@ def table4(spark: SparkSession, *, sf: float = 1.0, seed: int = 0) -> pd.DataFra
     extraction time, transformation time, training time, total, accuracy,
     model size, inference time, training memory."""
     rows = []
-    for key, task, bundle in _task_bundles(spark, NC_TASKS, sf):
+    for key, task, bundle, index in _indexed_task_bundles(spark, NC_TASKS, sf):
         kg = bundle.kg
         frame = nc_frame(bundle, task).persist()
         row: dict = {"task": key}
@@ -342,7 +352,6 @@ def table4(spark: SparkSession, *, sf: float = 1.0, seed: int = 0) -> pd.DataFra
         _run_pipeline(kg, frame, task, sf=sf, seed=seed, row=row, prefix="fg")
 
         # KG' pipeline: d1h1 extraction first
-        index = build_index(kg)
         targets = target_vertices(kg, task)
         with timed(row, "kgp_extract_s"):
             kgp = materialize(extract_tosg(index, targets, TOSGPattern(1, 1)))
@@ -355,7 +364,6 @@ def table4(spark: SparkSession, *, sf: float = 1.0, seed: int = 0) -> pd.DataFra
             row[f"paper_fg_{k}"], row[f"paper_kgp_{k}"] = fg, kgp_v
         rows.append(row)
         kgp.unpersist()
-        index.unpersist()
         frame.unpersist()
     return pd.DataFrame(rows)
 

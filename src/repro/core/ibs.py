@@ -8,7 +8,7 @@ A_norm^T p_t`` over the undirected KG, pruning scores below ``eps`` every
 round (the epsilon of the paper's O(N_out / (eps * alpha)) bound). The
 mass is at most 1, so at most 1/eps vertices survive a round: the iteration
 runs in numpy on the driver, and Spark only fetches the triples of vertices
-new to that frontier (broadcast semi-joins), so a settled frontier runs none.
+new to that frontier (a broadcast probe), so a settled frontier runs none.
 Top-k keeps the ``k * bs`` most influential non-targets (global, not
 per-target pairs — DESIGN.md §4.4); KG' is the induced subgraph over
 seeds + influential targets + chosen neighbours.
@@ -19,7 +19,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.subgraph import collect_ids, id_frame, induced_subgraph
+from repro.core.subgraph import collect_ids, id_frame, induced_subgraph, probe
 from repro.core.walks import sample_vertices
 from repro.kg.schema import KG
 
@@ -28,12 +28,10 @@ def _neighbours(kg: KG, ids: np.ndarray) -> np.ndarray:
     """Rows ``(src, dst, deg(src))``, one per distinct undirected neighbour
     ``dst`` of each ``src`` in ``ids`` (triples with ``s`` or ``o`` in ``ids``)."""
     t = kg.triples
-    pairs = (
-        t.select(F.col("s").alias("id"), F.col("o").alias("dst"))
-        .unionByName(t.select(F.col("o").alias("id"), F.col("s").alias("dst")))
-        .join(F.broadcast(id_frame(t.sparkSession, ids)), "id", "semi")
-        .toPandas()
+    both = t.select(F.col("s").alias("id"), F.col("o").alias("dst")).unionByName(
+        t.select(F.col("o").alias("id"), F.col("s").alias("dst"))
     )
+    pairs = probe(both, "id", id_frame(t.sparkSession, ids)).toPandas()
     pairs = np.unique(pairs.to_numpy(np.int64), axis=0)
     _, inv, deg = np.unique(pairs[:, 0], return_inverse=True, return_counts=True)
     return np.column_stack([pairs, deg[inv]])
@@ -72,11 +70,11 @@ def ibs_sample(
 ) -> KG:
     """Algorithm 2: PPR from ``bs`` sampled targets, keep influential
     targets plus the top ``k*bs`` influential non-targets, induce KG'."""
-    spark = kg.triples.sparkSession
-    seeds = collect_ids(sample_vertices(targets, bs, seed=seed))
+    seeds = sample_vertices(targets, bs, seed=seed)
     ids, score = ppr(kg, seeds, alpha=alpha, eps=eps, iters=iters)
-    is_target = np.isin(ids, collect_ids(targets.select("id").join(F.broadcast(id_frame(spark, ids)), "id", "semi")))
+    keys = id_frame(kg.triples.sparkSession, ids)
+    is_target = np.isin(ids, collect_ids(probe(targets, "id", keys)))
     others = np.flatnonzero(~is_target)
     top = others[np.lexsort((ids[others], -score[others]))[: k * bs]]
     chosen = np.unique(np.concatenate([seeds, ids[is_target], ids[top]]))
-    return induced_subgraph(kg, id_frame(spark, chosen), name=f"{kg.name}-IBS")
+    return induced_subgraph(kg, chosen, name=f"{kg.name}-IBS")

@@ -3,12 +3,13 @@
 ``extractSubgraph`` in Algorithms 1 (line 7) and 2 (line 5) is the induced
 subgraph over a chosen vertex set — every KG edge whose both endpoints were
 selected. That set is small by construction (bs·(h+1) walk vertices for
-URW/BRW, bs + 1/ε + k·bs for IBS), so it is broadcast and probed by
-semi-joins: the KG is scanned in place and never shuffled, KG′'s triples
-keep the KG's partitioning and its vertex rows come out in one partition.
-The SPARQL method instead unions matched triples; ``from_triples`` rebuilds
-a typed KG from them in one partition, with the same probe for the vertex
-rows.
+URW/BRW, bs + 1/ε + k·bs for IBS) and is held on the driver as a numpy id
+array, so it is broadcast and looked up by :func:`probe`, the one broadcast
+semi-join of the package: the KG is scanned in place and never shuffled,
+KG′'s triples keep the KG's partitioning and its vertex rows come out in
+one partition. The SPARQL method probes the triple index the same way and
+unions the matched triples; ``from_triples`` rebuilds a typed KG from them
+in one partition, with the same probe for the vertex rows.
 """
 from __future__ import annotations
 
@@ -41,24 +42,27 @@ def id_frame(spark: SparkSession, ids: np.ndarray) -> DataFrame:
     return spark.createDataFrame(pd.DataFrame({"id": ids}), "id long").coalesce(1)
 
 
-def induced_subgraph(kg: KG, vertex_ids: DataFrame, *, name: str | None = None) -> KG:
-    """``KG'`` = all triples of ``kg`` with both endpoints in ``vertex_ids``
-    (one column ``id``; duplicates and absent ids allowed), plus the typed
-    vertex rows, ordered by :data:`ROW_ORDER_BUCKETS`."""
-    v = vertex_ids.select("id")
-    triples = (
-        kg.triples.join(F.broadcast(v.withColumnRenamed("id", "s")), "s", "semi")
-        .join(F.broadcast(v.withColumnRenamed("id", "o")), "o", "semi")
-        .select("s", "p", "o")
-    )
-    return KG(name=name or f"{kg.name}'", nodes=_vertex_rows(kg, v), triples=triples)
+def probe(df: DataFrame, col: str, keys: DataFrame) -> DataFrame:
+    """The rows of ``df`` whose ``col`` is in ``keys`` (column ``id``): a
+    broadcast hash semi-join, so ``keys`` must be small. ``df`` is scanned
+    in full where it lies and never shuffled."""
+    return df.join(F.broadcast(keys.select(F.col("id").alias(col))), col, "semi")
+
+
+def induced_subgraph(kg: KG, ids: np.ndarray, *, name: str | None = None) -> KG:
+    """``KG'`` = all triples of ``kg`` with both endpoints in ``ids``
+    (duplicates and absent ids allowed), plus the typed vertex rows,
+    ordered by :data:`ROW_ORDER_BUCKETS`."""
+    keys = id_frame(kg.triples.sparkSession, ids)
+    triples = probe(probe(kg.triples, "s", keys), "o", keys).select("s", "p", "o")
+    return KG(name=name or f"{kg.name}'", nodes=_vertex_rows(kg, keys), triples=triples)
 
 
 def _vertex_rows(kg: KG, ids: DataFrame) -> DataFrame:
     """``kg``'s vertex rows whose ``id`` is in ``ids`` (duplicates allowed),
     in one partition ordered by :data:`ROW_ORDER_BUCKETS`."""
     return (
-        kg.nodes.join(F.broadcast(ids), "id", "semi")
+        probe(kg.nodes, "id", ids)
         .coalesce(1)
         .sortWithinPartitions(F.pmod(F.hash("id"), F.lit(ROW_ORDER_BUCKETS)), "id")
     )

@@ -1,4 +1,5 @@
-"""Random-walk machinery shared by URW and BRW.
+"""The random walk of Algorithm 1 (BRW, and URW, which is BRW rooted at
+every vertex).
 
 A walk of ``bs`` walkers and ``h`` steps visits at most ``bs·(h+1)``
 vertices, so the steps run on the driver, as GraphSAINT samples its walks:
@@ -23,7 +24,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.subgraph import collect_ids, id_frame
+from repro.core.subgraph import collect_ids
 from repro.kg.schema import KG
 
 _M64 = (1 << 64) - 1
@@ -74,10 +75,10 @@ class SparkRand:
         return np.array(out, dtype=np.int64) * 2.0**-53
 
 
-def sample_vertices(vertices: DataFrame, n: int, *, seed: int) -> DataFrame:
-    """Uniformly draw ``n`` vertex ids (column ``id``) without replacement —
-    ``getInitialVertices`` of Algorithm 1."""
-    return vertices.select("id").orderBy(F.rand(seed)).limit(n)
+def sample_vertices(vertices: DataFrame, n: int, *, seed: int) -> np.ndarray:
+    """Uniformly draw ``n`` ids of ``vertices`` (column ``id``) without
+    replacement — ``getInitialVertices`` of Algorithm 1."""
+    return collect_ids(vertices.select("id").orderBy(F.rand(seed)).limit(n))
 
 
 def _edge_rows(kg: KG) -> tuple[np.ndarray, np.ndarray]:
@@ -91,14 +92,13 @@ def _edge_rows(kg: KG) -> tuple[np.ndarray, np.ndarray]:
     return pdf["src"].to_numpy(np.int64), pdf["dst"].to_numpy(np.int64)
 
 
-def random_walk_visited(kg: KG, roots: DataFrame, h: int, *, seed: int) -> DataFrame:
-    """All distinct vertices visited by length-``h`` uniform random walks
-    started at ``roots`` (column ``id``), roots included, as one ``id``
-    column. Walkers are numbered in root-id order."""
-    spark = kg.triples.sparkSession
-    at = np.unique(collect_ids(roots))
+def random_walk_visited(kg: KG, roots: np.ndarray, h: int, *, seed: int) -> np.ndarray:
+    """The sorted distinct ids visited by length-``h`` uniform random walks
+    started at the distinct ``roots``, roots included. Walkers are numbered
+    in root-id order."""
+    at = np.unique(roots)
     if h == 0 or not len(at):
-        return id_frame(spark, at)
+        return at
     src, dst = _edge_rows(kg)
     by_src = np.argsort(src, kind="stable")
     src, dst = src[by_src], dst[by_src]
@@ -114,4 +114,4 @@ def random_walk_visited(kg: KG, roots: DataFrame, h: int, *, seed: int) -> DataF
         best = best[np.diff(seg[best], prepend=-1) != 0]  # each walker's smallest draw
         walk, at = walk[n > 0], dst[cand[best]]
         visited.append(at)
-    return id_frame(spark, np.unique(np.concatenate(visited)))
+    return np.unique(np.concatenate(visited))

@@ -422,16 +422,6 @@ GENERATORS = {
     "YAGO3-10": yago3_10,
 }
 
-# Expected |C| / |R| per KG (asserted in tests; compared to Table I).
-EXPECTED_TYPE_COUNTS = {
-    "MAG-42M": (58, 62),
-    "DBLP-15M": (42, 48),
-    "YAGO-30M": (104, 98),
-    "ogbl-wikikg2": (120, 100),
-    "YAGO3-10": (23, 37),
-}
-
-
 def generate(name: str, spark: SparkSession, *, sf: float, seed: int | None = None) -> KGBundle:
     """Generate benchmark KG ``name`` at scale ``sf`` (registry lookup)."""
     gen = GENERATORS[name]

@@ -3,11 +3,15 @@
 The paper's SPARQL-based extraction (§IV-C) leans on RDF engines' built-in
 sextuple indices (SPO, POS, OSP, …, Weiss et al. [41]) so that BGP matching
 touches only the triples incident to target vertices instead of scanning
-the KG. Our analogue: cached copies of the triple table, each repartitioned
-by its lookup key and sorted within partitions, probed by a broadcast hash
-semi-join against a small key set. The probe scans the cached layout where
-it lies and never shuffles it; it uses neither the hash partitioning nor
-the sort, which only fix the layouts' own row order.
+the KG. Our analogue is weaker: cached copies of the triple table, each
+repartitioned by its lookup key and sorted within partitions, looked up by
+``repro.core.subgraph.probe``, a broadcast hash semi-join against a small
+key set. The probe never shuffles a layout, but it scans every row of it
+and uses neither the hash partitioning nor the sort, which only fix the
+layouts' own row order. So a lookup costs a scan linear in |KG|, not in
+the triples it returns: d1h1 for 1,000 PV/MAG targets on 4 vCPUs took
+1.97 s over 48K triples and 4.94 s over 972K, with the same Spark job and
+task counts.
 
 A hexastore keeps one layout per binding pattern a query uses. The d·h
 pattern binds only the subject (outgoing legs) or the object (incoming
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.kg.schema import KG
 
@@ -40,22 +43,6 @@ class TripleIndex:
     kg: KG
     by_s: DataFrame
     by_o: DataFrame
-
-    def outgoing(self, vertex_ids: DataFrame) -> DataFrame:
-        """All triples whose subject is in ``vertex_ids`` (column ``id``) —
-        the ``?v ?p ?o`` leg of the BGP for a target set. The key set is
-        broadcast, so it must be small."""
-        return self.by_s.join(F.broadcast(vertex_ids.withColumnRenamed("id", "s")), "s", "semi")
-
-    def incoming(self, vertex_ids: DataFrame) -> DataFrame:
-        """All triples whose object is in ``vertex_ids`` — the
-        ``?s ?p ?v`` (d=2) leg of the BGP; the key set is broadcast."""
-        return self.by_o.join(F.broadcast(vertex_ids.withColumnRenamed("id", "o")), "o", "semi")
-
-    def predicate(self, p: str) -> DataFrame:
-        """All triples of one predicate — the LP bridge pattern
-        ``⟨?v_Ti, p_T, ?v_Tj⟩``."""
-        return self.by_s.where(F.col("p") == p)
 
     def unpersist(self) -> None:
         for df in (self.by_s, self.by_o):

@@ -4,8 +4,8 @@ the test suite's ``spark`` fixture both call :func:`get_session`.
 Master and driver memory are read when the JVM starts (``spark-submit``
 arguments or ``PYSPARK_SUBMIT_ARGS``), so they are not set here. Broadcast
 joins are off unless a query hints one, so joins exercise the shuffle path
-at small scale; a semi-join against a small vertex set hints its broadcast
-with ``F.broadcast``.
+at small scale; ``repro.core.subgraph.probe``, the semi-join against a
+small vertex set, hints its broadcast.
 """
 from __future__ import annotations
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.brw import brw_sample
 from repro.core.pattern import TOSGPattern
 from repro.core.sparql_extract import extract_tosg
 from repro.core.subgraph import materialize
-from repro.core.urw import urw_sample
 from repro.kg import generator
 from repro.kg.partition import build_index
 from repro.tasks.defs import TASKS, target_vertices
@@ -87,7 +87,8 @@ def mag_d1h1(mag_index, mag_pv_targets):
 
 @pytest.fixture(scope="session")
 def mag_urw(mag_bundle):
-    """A URW sample of MAG that keeps target-disconnected vertices."""
-    kgp = materialize(urw_sample(mag_bundle.kg, bs=60, h=3, seed=3))
+    """A URW sample of MAG (BRW rooted at every vertex) that keeps
+    target-disconnected vertices."""
+    kgp = materialize(brw_sample(mag_bundle.kg, mag_bundle.kg.nodes, bs=60, h=3, seed=3))
     yield kgp
     kgp.unpersist()

@@ -52,14 +52,14 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     )
 
 
-def spark_walk_visited(kg, roots: DataFrame, h: int, *, seed: int) -> np.ndarray:
+def spark_walk_visited(kg, roots: np.ndarray, h: int, *, seed: int) -> np.ndarray:
     """Sorted distinct ids visited by ``h`` steps of walkers started at
     ``roots``, one Spark round per step: join the frontier against the
     persisted undirected edges, draw ``rand(seed + 1000·step)`` per
     candidate and keep each walker's smallest draw."""
     spark = kg.triples.sparkSession
     edges = kg.undirected_edges().persist()
-    ids = np.unique(collect_ids(roots))
+    ids = np.unique(roots)
     frontier = spark.createDataFrame(
         pd.DataFrame({"id": ids, "walk": np.arange(1, len(ids) + 1, dtype=np.int32)}), "id long, walk int"
     ).coalesce(1)

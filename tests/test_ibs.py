@@ -160,7 +160,7 @@ def test_ibs_selection_matches_oracle(spark):
     targets = target_vertices(b.kg, task).persist()
     bs, k, alpha, eps, iters, seed = 25, 2, 0.25, 4e-4, 4, 1
     nodes = b.kg.nodes.select("id").toPandas()
-    seeds = sample_vertices(targets, bs, seed=seed).toPandas()
+    seeds = pd.DataFrame({"id": sample_vertices(targets, bs, seed=seed)})
     p = _reference_ppr(b.kg.triples.toPandas(), int(nodes.id.max()) + 1, seeds.id, alpha, iters, eps)
     scores = pd.DataFrame({"id": np.flatnonzero(p), "score": p[p > 0]})
     t = targets.toPandas()

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.brw import brw_sample
 from repro.core.pattern import TOSGPattern
 from repro.core.sparql_extract import extract_tosg
 from repro.core.subgraph import materialize
-from repro.core.urw import urw_sample
 from repro.gnn.encoding import encode_lp, encode_nc
 from repro.gnn.lp import train_transe
 from repro.gnn.saint import train_saint
@@ -21,7 +21,7 @@ from repro.tasks.splits import lp_frame, nc_frame
 
 
 def test_d1h1_improves_target_ratio_over_urw(mag_bundle, mag_pv_targets, mag_d1h1):
-    urw = materialize(urw_sample(mag_bundle.kg, bs=60, h=3, seed=2))
+    urw = materialize(brw_sample(mag_bundle.kg, mag_bundle.kg.nodes, bs=60, h=3, seed=2))
     r_urw = sufficiency_stats(urw, mag_pv_targets)["V_T_pct"]
     r_tosa = sufficiency_stats(mag_d1h1, mag_pv_targets)["V_T_pct"]
     assert r_tosa > r_urw

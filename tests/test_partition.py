@@ -1,9 +1,11 @@
-"""Hexastore-style triple indices: every index lookup must equal the
-naive full-scan answer (oracle-checked)."""
+"""Hexastore-style triple indices: every lookup of a layout (a
+``subgraph.probe`` of ``by_s``/``by_o``, or a predicate filter of ``by_s``)
+must equal the naive full-scan answer (oracle-checked)."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.subgraph import probe
 from tests.oracle import assert_equivalent
 
 
@@ -16,7 +18,7 @@ def some_targets(mag_bundle):
 
 
 def test_outgoing_matches_full_scan(mag_index, some_targets):
-    got = mag_index.outgoing(some_targets)
+    got = probe(mag_index.by_s, "s", some_targets)
     assert_equivalent(
         got.select("s", "p", "o"),
         "SELECT t.s, t.p, t.o FROM t JOIN v ON t.s = v.id",
@@ -26,7 +28,7 @@ def test_outgoing_matches_full_scan(mag_index, some_targets):
 
 
 def test_incoming_matches_full_scan(mag_index, some_targets):
-    got = mag_index.incoming(some_targets)
+    got = probe(mag_index.by_o, "o", some_targets)
     assert_equivalent(
         got.select("s", "p", "o"),
         "SELECT t.s, t.p, t.o FROM t JOIN v ON t.o = v.id",
@@ -37,7 +39,7 @@ def test_incoming_matches_full_scan(mag_index, some_targets):
 
 @pytest.mark.parametrize("pred", ["hasTopic", "cites", "hasCreator"])
 def test_predicate_scan_matches_filter(mag_index, pred):
-    got = mag_index.predicate(pred)
+    got = mag_index.by_s.where(F.col("p") == pred)
     assert_equivalent(
         got.select("s", "p", "o"),
         f"SELECT s, p, o FROM t WHERE p = '{pred}'",
@@ -55,11 +57,11 @@ def test_outgoing_empty_targets(spark, mag_index):
     empty = spark.createDataFrame(
         pd.DataFrame({"id": pd.array([], dtype="int64")}), schema="id long"
     )
-    assert mag_index.outgoing(empty).count() == 0
+    assert probe(mag_index.by_s, "s", empty).count() == 0
 
 
 def test_semi_join_returns_triple_columns_only(mag_index, some_targets):
-    assert mag_index.outgoing(some_targets).columns == ["s", "p", "o"]
-    assert mag_index.incoming(some_targets).columns == ["o", "s", "p"] or set(
-        mag_index.incoming(some_targets).columns
+    assert probe(mag_index.by_s, "s", some_targets).columns == ["s", "p", "o"]
+    assert probe(mag_index.by_o, "o", some_targets).columns == ["o", "s", "p"] or set(
+        probe(mag_index.by_o, "o", some_targets).columns
     ) == {"s", "p", "o"}

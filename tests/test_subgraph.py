@@ -4,11 +4,12 @@ induced subgraph's access path (broadcast semi-joins over the KG scans) and
 its independence from persistence and partition settings asserted."""
 import re
 
+import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import example, given, settings
 
-from repro.core.subgraph import from_triples, induced_subgraph, materialize
+from repro.core.subgraph import collect_ids, from_triples, induced_subgraph, materialize
 from repro.metrics.topology import avg_distance_to_targets
 from tests.oracle import assert_equivalent
 from tests.strategies import case_kg, kgs_and_vertex_sets
@@ -16,10 +17,8 @@ from tests.strategies import case_kg, kgs_and_vertex_sets
 
 @pytest.fixture(scope="module")
 def vset(mag_bundle):
-    v = mag_bundle.kg.nodes.limit(400).select("id").persist()
-    v.count()
-    yield v
-    v.unpersist()
+    """400 vertex ids held on the driver, as the samplers pass them."""
+    return collect_ids(mag_bundle.kg.nodes.limit(400))
 
 
 def test_induced_triples_against_oracle(mag_bundle, vset):
@@ -29,13 +28,13 @@ def test_induced_triples_against_oracle(mag_bundle, vset):
         """SELECT t.s, t.p, t.o FROM t
            WHERE t.s IN (SELECT id FROM v) AND t.o IN (SELECT id FROM v)""",
         t=mag_bundle.kg.triples,
-        v=vset,
+        v=pd.DataFrame({"id": vset}),
     )
 
 
 def test_induced_keeps_all_chosen_nodes(mag_bundle, vset):
     sub = induced_subgraph(mag_bundle.kg, vset)
-    assert sub.nodes.count() == vset.distinct().count()
+    assert sub.nodes.count() == len(np.unique(vset))
 
 
 def test_induced_node_types_from_parent(mag_bundle, vset):
@@ -44,7 +43,7 @@ def test_induced_node_types_from_parent(mag_bundle, vset):
         sub.nodes.select("id", "ntype"),
         "SELECT n.id, n.ntype FROM n WHERE n.id IN (SELECT id FROM v)",
         n=mag_bundle.kg.nodes,
-        v=vset,
+        v=pd.DataFrame({"id": vset}),
     )
 
 
@@ -75,7 +74,7 @@ def test_materialize_preserves_content(mag_bundle, vset):
 
 
 def test_induced_subgraph_of_everything_is_identity(mag_bundle):
-    sub = induced_subgraph(mag_bundle.kg, mag_bundle.kg.nodes.select("id"))
+    sub = induced_subgraph(mag_bundle.kg, collect_ids(mag_bundle.kg.nodes))
     assert sub.triples.count() == mag_bundle.kg.triples.count()
     assert sub.nodes.count() == mag_bundle.kg.nodes.count()
 
@@ -118,7 +117,7 @@ def test_induced_subgraph_independent_of_persistence(spark, mag_bundle, mag_d1h1
     partition count was when it was; a persisted KG' keeps one vertex
     partition and the KG's triple partitioning."""
     kg = mag_bundle.kg
-    v = spark.createDataFrame(mag_d1h1.nodes.select("id").toPandas(), "id long")  # as the samplers pass it
+    v = collect_ids(mag_d1h1.nodes)  # as the samplers pass it
     plain = induced_subgraph(kg, v)
     # before the persisted copy exists: Spark would answer the same plan from it
     rows, d = plain.nodes.toPandas(), avg_distance_to_targets(plain, mag_pv_targets, n_sources=3)
@@ -145,7 +144,7 @@ def test_induced_subgraph_matches_sql_in(spark, case):
     nodes, triples, chosen = case
     kg = case_kg(spark, nodes, triples)
     v = pd.DataFrame({"id": pd.Series(chosen, dtype="int64")})
-    sub = induced_subgraph(kg, spark.createDataFrame(v, "id long"))
+    sub = induced_subgraph(kg, v["id"].to_numpy())
     assert_equivalent(
         sub.triples,
         "SELECT s, p, o FROM t WHERE s IN (SELECT id FROM v) AND o IN (SELECT id FROM v)",

@@ -19,6 +19,7 @@ from repro.bench.tables import (
     table4,
     to_markdown,
 )
+from tests.test_generator import EXPECTED_TYPE_COUNTS
 
 SF = 0.05
 
@@ -104,8 +105,6 @@ def test_table3_target_ratio_ordering(t3):
 
 def test_table3_types_reduced(t3):
     """|C'| and |R'| shrink vs the full KG for the task-oriented methods."""
-    from repro.kg.generator import EXPECTED_TYPE_COUNTS
-
     for task in T3_TASKS:
         kg_name = task.split("/")[1]
         c_full, r_full = EXPECTED_TYPE_COUNTS[kg_name]

@@ -1,4 +1,5 @@
-"""Random-walk samplers (URW baseline + Algorithm 1 BRW): Spark's draws
+"""Random-walk samplers (Algorithm 1 BRW, and URW: BRW rooted at every
+vertex): Spark's draws
 reproduced exactly, the walk against a Spark step loop, invariants of the
 samples, and the samplers on degenerate inputs."""
 import warnings
@@ -12,7 +13,6 @@ from repro.bench.tables import _quality
 from repro.core.brw import brw_sample
 from repro.core.ibs import ibs_sample
 from repro.core.subgraph import collect_ids
-from repro.core.urw import urw_sample
 from repro.core.walks import SparkRand, random_walk_visited, sample_vertices
 from repro.kg.schema import make_kg
 from tests.oracle import spark_walk_visited
@@ -31,34 +31,35 @@ def path_kg(spark):
 
 def test_sample_vertices_size_and_membership(mag_bundle):
     roots = sample_vertices(mag_bundle.kg.nodes, 25, seed=1)
-    assert roots.count() == 25
-    assert roots.join(mag_bundle.kg.nodes.select("id"), "id", "anti").count() == 0
+    assert roots.dtype == np.int64 and len(roots) == 25
+    assert np.isin(roots, collect_ids(mag_bundle.kg.nodes)).all()
 
 
 def test_sample_vertices_no_duplicates(mag_bundle):
     roots = sample_vertices(mag_bundle.kg.nodes, 40, seed=2)
-    assert roots.distinct().count() == 40
+    assert len(np.unique(roots)) == 40
 
 
-def test_walk_includes_roots(spark, path_kg):
-    roots = spark.createDataFrame(pd.DataFrame({"id": [0, 9]}))
-    visited = random_walk_visited(path_kg, roots, h=2, seed=0)
-    got = {r["id"] for r in visited.collect()}
-    assert {0, 9} <= got
+def test_walk_includes_roots(path_kg):
+    visited = random_walk_visited(path_kg, np.array([0, 9]), h=2, seed=0)
+    assert {0, 9} <= set(visited.tolist())
 
 
-def test_walk_respects_reachability(spark, path_kg):
+def test_walk_returns_sorted_unique_ids(path_kg):
+    visited = random_walk_visited(path_kg, np.array([4, 0, 2, 0]), h=3, seed=1)
+    assert visited.dtype == np.int64 and visited.tolist() == sorted(set(visited.tolist()))
+
+
+def test_walk_respects_reachability(path_kg):
     """From vertex 0 with h=2 the walk can reach at most {0,1,2} (the walk
     is undirected but a single walker can't pass vertex 2)."""
-    roots = spark.createDataFrame(pd.DataFrame({"id": [0]}))
-    visited = {r["id"] for r in random_walk_visited(path_kg, roots, h=2, seed=3).collect()}
+    visited = set(random_walk_visited(path_kg, np.array([0]), h=2, seed=3).tolist())
     assert visited <= {0, 1, 2}
     assert len(visited) >= 2  # vertex 0 must move to 1 (its only neighbour)
 
 
-def test_isolated_root_stays_put(spark, path_kg):
-    roots = spark.createDataFrame(pd.DataFrame({"id": [9]}))
-    visited = {r["id"] for r in random_walk_visited(path_kg, roots, h=3, seed=0).collect()}
+def test_isolated_root_stays_put(path_kg):
+    visited = set(random_walk_visited(path_kg, np.array([9]), h=3, seed=0).tolist())
     assert visited == {9}
 
 
@@ -66,11 +67,11 @@ def test_visited_bounded_by_walk_budget(mag_bundle):
     bs, h = 20, 3
     roots = sample_vertices(mag_bundle.kg.nodes, bs, seed=5)
     visited = random_walk_visited(mag_bundle.kg, roots, h, seed=5)
-    assert visited.count() <= bs * (h + 1)
+    assert len(visited) <= bs * (h + 1)
 
 
 def test_urw_sample_is_subgraph(mag_bundle):
-    sub = urw_sample(mag_bundle.kg, bs=20, h=2, seed=7)
+    sub = brw_sample(mag_bundle.kg, mag_bundle.kg.nodes, bs=20, h=2, seed=7)
     assert sub.nodes.join(mag_bundle.kg.nodes, "id", "anti").count() == 0
     assert sub.triples.count() <= mag_bundle.kg.triples.count()
 
@@ -86,7 +87,7 @@ def test_brw_roots_come_from_targets(mag_bundle, mag_pv_targets):
 
 def test_brw_targets_denser_than_urw(mag_bundle, mag_pv_targets):
     """The paper's central data-sufficiency claim at sampler level."""
-    urw = urw_sample(mag_bundle.kg, bs=40, h=3, seed=11)
+    urw = brw_sample(mag_bundle.kg, mag_bundle.kg.nodes, bs=40, h=3, seed=11)
     brw = brw_sample(mag_bundle.kg, mag_pv_targets, bs=40, h=3, seed=11)
 
     def ratio(sub):
@@ -95,11 +96,11 @@ def test_brw_targets_denser_than_urw(mag_bundle, mag_pv_targets):
     assert ratio(brw) > ratio(urw)
 
 
-def test_walker_deterministic_given_seed(spark, path_kg):
-    roots = spark.createDataFrame(pd.DataFrame({"id": [0, 2]}))
-    a = {r["id"] for r in random_walk_visited(path_kg, roots, 3, seed=42).collect()}
-    b = {r["id"] for r in random_walk_visited(path_kg, roots, 3, seed=42).collect()}
-    assert a == b
+def test_walker_deterministic_given_seed(path_kg):
+    roots = np.array([0, 2])
+    a = random_walk_visited(path_kg, roots, 3, seed=42)
+    b = random_walk_visited(path_kg, roots, 3, seed=42)
+    assert a.tolist() == b.tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 7, -5, 2**31 + 3, 11 + 1000 * 2])
@@ -109,18 +110,18 @@ def test_spark_rand_matches_spark(spark, seed):
 
 
 @pytest.mark.parametrize("roots,h,seed", [([0, 2, 4, 9], 4, 0), ([1, 2, 3], 3, 5), ([0, 1, 2, 3, 4], 2, 12)])
-def test_walk_matches_spark_step_loop_on_a_path(spark, path_kg, roots, h, seed):
+def test_walk_matches_spark_step_loop_on_a_path(path_kg, roots, h, seed):
     """Several walkers on one vertex and walkers stranded at vertex 9."""
-    r = spark.createDataFrame(pd.DataFrame({"id": roots}))
-    got = collect_ids(random_walk_visited(path_kg, r, h, seed=seed))
-    assert np.sort(got).tolist() == spark_walk_visited(path_kg, r, h, seed=seed).tolist()
+    r = np.array(roots)
+    got = random_walk_visited(path_kg, r, h, seed=seed)
+    assert got.tolist() == spark_walk_visited(path_kg, r, h, seed=seed).tolist()
 
 
 @pytest.mark.parametrize("bs,h,seed", [(10, 1, 1), (25, 3, 4), (40, 2, 9)])
 def test_walk_matches_spark_step_loop_on_mag(mag_bundle, bs, h, seed):
     roots = sample_vertices(mag_bundle.kg.nodes, bs, seed=seed)
-    got = collect_ids(random_walk_visited(mag_bundle.kg, roots, h, seed=seed))
-    assert np.sort(got).tolist() == spark_walk_visited(mag_bundle.kg, roots, h, seed=seed).tolist()
+    got = random_walk_visited(mag_bundle.kg, roots, h, seed=seed)
+    assert got.tolist() == spark_walk_visited(mag_bundle.kg, roots, h, seed=seed).tolist()
 
 
 # Degenerate inputs. Targets 0-2 (type T) have no triples; 10-13 (type U)
@@ -129,7 +130,7 @@ _TARGETS = {0, 1, 2}
 _NODES = [(v, "T", None) for v in sorted(_TARGETS)] + [(v, "U", None) for v in (10, 11, 12, 13)]
 _PATH = [(10, "r", 11), (11, "r", 12), (12, "r", 13)]
 _SAMPLERS = {
-    "URW": lambda kg, t, bs, h: urw_sample(kg, bs=bs, h=h, seed=3),
+    "URW": lambda kg, t, bs, h: brw_sample(kg, kg.nodes, bs=bs, h=h, seed=3),
     "BRW": lambda kg, t, bs, h: brw_sample(kg, t, bs=bs, h=h, seed=3),
     "IBS": lambda kg, t, bs, h: ibs_sample(kg, t, bs=bs, iters=h, seed=3),
 }
@@ -151,7 +152,7 @@ def test_sampler_on_degenerate_input(spark, method, triples, bs, h):
     kg = case_kg(spark, _NODES, triples)
     targets = spark.createDataFrame([(v,) for v in sorted(_TARGETS)], "id long")
     pool = kg.nodes if method == "URW" else targets
-    roots = set(collect_ids(sample_vertices(pool, bs, seed=3)).tolist())
+    roots = set(sample_vertices(pool, bs, seed=3).tolist())
     assert len(roots) == min(bs, pool.count())
 
     sub = _SAMPLERS[method](kg, targets, bs, h)
