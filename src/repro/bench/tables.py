@@ -24,7 +24,7 @@ from repro.core.subgraph import materialize
 from repro.gnn.encoding import encode_nc
 from repro.gnn.saint import train_saint
 from repro.kg import generator
-from repro.kg.partition import build_index
+from repro.kg.partition import TripleIndex, build_index
 from repro.kg.stats import kg_stats
 from repro.metrics.sufficiency import sufficiency_stats
 from repro.metrics.topology import (
@@ -159,7 +159,7 @@ def _indexed_task_bundles(spark: SparkSession, keys, sf: float):
     """``_task_bundles`` plus each KG's triple index, built on the KG's first
     task and unpersisted after its last."""
     last = {TASKS[key].kg_name: key for key in keys}
-    indices: dict[str, object] = {}
+    indices: dict[str, TripleIndex] = {}
     for key, task, bundle in _task_bundles(spark, keys, sf):
         if task.kg_name not in indices:
             indices[task.kg_name] = build_index(bundle.kg)

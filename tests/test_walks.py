@@ -1,7 +1,6 @@
 """Random-walk samplers (Algorithm 1 BRW, and URW: BRW rooted at every
-vertex): Spark's draws
-reproduced exactly, the walk against a Spark step loop, invariants of the
-samples, and the samplers on degenerate inputs."""
+vertex): Spark's draws reproduced exactly, the walk against a Spark step
+loop, invariants of the samples, and the samplers on degenerate inputs."""
 import warnings
 
 import numpy as np
