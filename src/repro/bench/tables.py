@@ -11,6 +11,8 @@ is the *shape* — orderings, ratios and crossovers.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -24,7 +26,7 @@ from repro.core.subgraph import materialize
 from repro.gnn.encoding import encode_nc
 from repro.gnn.saint import train_saint
 from repro.kg import generator
-from repro.kg.partition import TripleIndex, build_index
+from repro.kg.partition import build_index
 from repro.kg.stats import kg_stats
 from repro.metrics.sufficiency import sufficiency_stats
 from repro.metrics.topology import (
@@ -140,42 +142,28 @@ def t3_params(sf: float) -> dict:
 
 
 N_ACC_SEEDS = 3  # accuracy columns are seed-averaged (small test splits)
+SEED = 0  # the samplers' seed, and the first of the N_ACC_SEEDS training seeds
 
 
-def _task_bundles(spark: SparkSession, keys, sf: float):
-    """Yield ``(key, task, bundle)`` for each task key, generating each KG
-    once on first use; every bundle is unpersisted after the last task."""
-    by_kg: dict[str, object] = {}
-    for key in keys:
-        task = TASKS[key]
-        if task.kg_name not in by_kg:
-            by_kg[task.kg_name] = generator.generate(task.kg_name, spark, sf=sf)
-        yield key, task, by_kg[task.kg_name]
-    for b in by_kg.values():
-        b.unpersist()
+def _kg_groups(spark: SparkSession, keys, sf: float):
+    """Yield ``(bundle, [(key, task), …])`` for each run of consecutive task
+    keys on the same KG. The KG is generated at the start of its run and
+    unpersisted before the next KG is generated, so Spark's cache holds one
+    KG at a time; the tables list each KG's tasks together."""
+    for kg_name, run in itertools.groupby(keys, key=lambda k: TASKS[k].kg_name):
+        bundle = generator.generate(kg_name, spark, sf=sf)
+        yield bundle, [(key, TASKS[key]) for key in run]
+        bundle.unpersist()
 
 
-def _indexed_task_bundles(spark: SparkSession, keys, sf: float):
-    """``_task_bundles`` plus each KG's triple index, built on the KG's first
-    task and unpersisted after its last."""
-    last = {TASKS[key].kg_name: key for key in keys}
-    indices: dict[str, TripleIndex] = {}
-    for key, task, bundle in _task_bundles(spark, keys, sf):
-        if task.kg_name not in indices:
-            indices[task.kg_name] = build_index(bundle.kg)
-        yield key, task, bundle, indices[task.kg_name]
-        if last[task.kg_name] == key:
-            indices.pop(task.kg_name).unpersist()
-
-
-def _seed_averaged_acc(enc, sampler: str, seed: int, tp: dict) -> tuple[float, dict, float, float]:
-    """SAINT test accuracy averaged over seeds ``seed … seed+N_ACC_SEEDS−1``
+def _seed_averaged_acc(enc, sampler: str, tp: dict) -> tuple[float, dict, float, float]:
+    """SAINT test accuracy averaged over seeds ``SEED … SEED+N_ACC_SEEDS−1``
     (the paper also reports the average of three runs per method, §V-A.3).
     The first run is timed and tracemalloc-measured; its result, seconds
     and peak MB are returned alongside for Table IV's cost columns."""
-    first, train_s, train_mb = measured(train_saint, enc, sampler=sampler, seed=seed, **tp)
+    first, train_s, train_mb = measured(train_saint, enc, sampler=sampler, seed=SEED, **tp)
     accs = [first["accuracy"]["test"]] + [
-        train_saint(enc, sampler=sampler, seed=seed + s, **tp)["accuracy"]["test"]
+        train_saint(enc, sampler=sampler, seed=SEED + s, **tp)["accuracy"]["test"]
         for s in range(1, N_ACC_SEEDS)
     ]
     return float(np.mean(accs)), first, train_s, train_mb
@@ -216,20 +204,21 @@ def table1(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
 def table2(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
     """Task summary with *measured* split ratios from our splitters."""
     rows = []
-    for key, task, bundle in _task_bundles(spark, TASKS, sf):
-        frame = nc_frame(bundle, task) if task.tt == "NC" else lp_frame(bundle, task)
-        frac = split_fractions(frame)
-        rows.append(
-            {
-                "TT": task.tt,
-                "Name": task.name,
-                "KG": task.kg_name,
-                "Split": task.split.capitalize(),
-                "Ratio": "/".join(f"{100 * frac[s]:.1f}" for s in ("train", "valid", "test")),
-                "Metric": task.metric,
-                "paper_Ratio": PAPER_TABLE2[key],
-            }
-        )
+    for bundle, tasks in _kg_groups(spark, TASKS, sf):
+        for key, task in tasks:
+            frame = nc_frame(bundle, task) if task.tt == "NC" else lp_frame(bundle, task)
+            frac = split_fractions(frame)
+            rows.append(
+                {
+                    "TT": task.tt,
+                    "Name": task.name,
+                    "KG": task.kg_name,
+                    "Split": task.split.capitalize(),
+                    "Ratio": "/".join(f"{100 * frac[s]:.1f}" for s in ("train", "valid", "test")),
+                    "Metric": task.metric,
+                    "paper_Ratio": PAPER_TABLE2[key],
+                }
+            )
     return pd.DataFrame(rows)
 
 
@@ -250,7 +239,7 @@ def _quality(kgp, targets) -> dict:
     }
 
 
-def table3(spark: SparkSession, *, sf: float = 1.0, with_accuracy: bool = True, seed: int = 0) -> pd.DataFrame:
+def table3(spark: SparkSession, *, sf: float = 1.0, with_accuracy: bool = True) -> pd.DataFrame:
     """Extraction-quality comparison: URW vs BRW vs IBS vs KG-TOSA_d1h1.
 
     For each of the paper's four tasks, runs all four extractors, computes
@@ -260,62 +249,62 @@ def table3(spark: SparkSession, *, sf: float = 1.0, with_accuracy: bool = True, 
     """
     p = t3_params(sf)
     rows = []
-    for key, task, bundle, index in _indexed_task_bundles(spark, T3_TASKS, sf):
-        kg = bundle.kg
-        targets = target_vertices(kg, task).persist()
+    for bundle, tasks in _kg_groups(spark, T3_TASKS, sf):
+        kg, index = bundle.kg, build_index(bundle.kg)
+        for key, task in tasks:
+            targets = target_vertices(kg, task).persist()
 
-        extractors = {
-            "RW": lambda: brw_sample(kg, kg.nodes, bs=p["bs"], h=p["walk_h"], seed=seed),
-            "BRW": lambda: brw_sample(kg, targets, bs=p["bs"], h=p["walk_h"], seed=seed),
-            "IBS": lambda: ibs_sample(
-                kg, targets, bs=p["bs"], k=p["ibs_k"], alpha=p["alpha"],
-                eps=p["eps"], iters=p["iters"], seed=seed,
-            ),
-            "d1h1": lambda: extract_tosg(index, targets, TOSGPattern(1, 1)),
-        }
-        subgraphs, extract_s = {}, {}
-        for m, fn in extractors.items():
-            t: dict = {}
-            with timed(t, "s"):
-                subgraphs[m] = materialize(fn())
-            extract_s[m] = t["s"]
-        # scored before the encoders run, so IBS's and d1h1's encodings read
-        # the collection the indicators keep on KG′
-        quality = {m: _quality(kgp, targets) for m, kgp in subgraphs.items()}
+            extractors = {
+                "RW": lambda: brw_sample(kg, kg.nodes, bs=p["bs"], h=p["walk_h"], seed=SEED),
+                "BRW": lambda: brw_sample(kg, targets, bs=p["bs"], h=p["walk_h"], seed=SEED),
+                "IBS": lambda: ibs_sample(
+                    kg, targets, bs=p["bs"], k=p["ibs_k"], alpha=p["alpha"],
+                    eps=p["eps"], iters=p["iters"], seed=SEED,
+                ),
+                "d1h1": lambda: extract_tosg(index, targets, TOSGPattern(1, 1)),
+            }
+            subgraphs, extract_s = {}, {}
+            for m, fn in extractors.items():
+                with timed(extract_s, m):
+                    subgraphs[m] = materialize(fn())
+            # scored before the encoders run, so IBS's and d1h1's encodings
+            # read the collection the indicators keep on KG′
+            quality = {m: _quality(kgp, targets) for m, kgp in subgraphs.items()}
 
-        acc: dict[str, float] = {}
-        if with_accuracy:
-            frame = nc_frame(bundle, task).persist()
-            tp = _train_params(sf)
-            enc_fg = encode_nc(kg, frame, n_classes=task.n_classes)
-            acc["RW"] = _seed_averaged_acc(enc_fg, "urw", seed, tp)[0]
-            acc["BRW"] = _seed_averaged_acc(enc_fg, "brw", seed, tp)[0]
-            for m in ("IBS", "d1h1"):
-                enc = encode_nc(subgraphs[m], frame, n_classes=task.n_classes)
-                acc[m] = _seed_averaged_acc(enc, "urw", seed, tp)[0]
-            frame.unpersist()
+            acc: dict[str, float] = {}
+            if with_accuracy:
+                frame = nc_frame(bundle, task).persist()
+                tp = _train_params(sf)
+                enc_fg = encode_nc(kg, frame, n_classes=task.n_classes)
+                acc["RW"] = _seed_averaged_acc(enc_fg, "urw", tp)[0]
+                acc["BRW"] = _seed_averaged_acc(enc_fg, "brw", tp)[0]
+                for m in ("IBS", "d1h1"):
+                    enc = encode_nc(subgraphs[m], frame, n_classes=task.n_classes)
+                    acc[m] = _seed_averaged_acc(enc, "urw", tp)[0]
+                frame.unpersist()
 
-        paper = PAPER_TABLE3[key]
-        for m, kgp in subgraphs.items():
-            q = quality[m]
-            rows.append(
-                {
-                    "task": key,
-                    "method": m,
-                    "V_T": q["V_T"],
-                    "V_T_pct": round(q["V_T_pct"], 1),
-                    "C'": q["C'"],
-                    "R'": q["R'"],
-                    "discon_pct": round(q["discon_pct"], 1),
-                    "avg_dist": round(q["avg_dist"], 2),
-                    "entropy": round(q["entropy"], 2),
-                    "extract_s": round(extract_s[m], 2),
-                    "accuracy": round(100 * acc[m], 2) if m in acc else float("nan"),
-                    **{f"paper_{k}": paper[k][m] for k in paper},
-                }
-            )
-            kgp.unpersist()
-        targets.unpersist()
+            paper = PAPER_TABLE3[key]
+            for m, kgp in subgraphs.items():
+                q = quality[m]
+                rows.append(
+                    {
+                        "task": key,
+                        "method": m,
+                        "V_T": q["V_T"],
+                        "V_T_pct": round(q["V_T_pct"], 1),
+                        "C'": q["C'"],
+                        "R'": q["R'"],
+                        "discon_pct": round(q["discon_pct"], 1),
+                        "avg_dist": round(q["avg_dist"], 2),
+                        "entropy": round(q["entropy"], 2),
+                        "extract_s": round(extract_s[m], 2),
+                        "accuracy": round(100 * acc[m], 2) if m in acc else float("nan"),
+                        **{f"paper_{k}": paper[k][m] for k in paper},
+                    }
+                )
+                kgp.unpersist()
+            targets.unpersist()
+        index.unpersist()
     return pd.DataFrame(rows)
 
 
@@ -323,12 +312,12 @@ def table3(spark: SparkSession, *, sf: float = 1.0, with_accuracy: bool = True, 
 # Table IV
 # ---------------------------------------------------------------------------
 
-def _run_pipeline(kgp, frame, task, *, sf: float, seed: int, row: dict, prefix: str) -> None:
+def _run_pipeline(kgp, frame, task, *, sf: float, row: dict, prefix: str) -> None:
     """Transformation + SAINT training + inference measurement on a graph."""
     tp = _train_params(sf)
     with timed(row, f"{prefix}_transform_s"):
         enc = encode_nc(kgp, frame, n_classes=task.n_classes)
-    acc, result, train_s, train_mb = _seed_averaged_acc(enc, "urw", seed, tp)
+    acc, result, train_s, train_mb = _seed_averaged_acc(enc, "urw", tp)
     row[f"{prefix}_train_s"] = train_s
     row[f"{prefix}_mem_mb"] = train_mb
     row[f"{prefix}_acc"] = round(100 * acc, 2)
@@ -337,34 +326,36 @@ def _run_pipeline(kgp, frame, task, *, sf: float, seed: int, row: dict, prefix: 
         result["model"].forward()
 
 
-def table4(spark: SparkSession, *, sf: float = 1.0, seed: int = 0) -> pd.DataFrame:
+def table4(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
     """FG-vs-KG' cost breakdown for the six NC tasks (KG-TOSA_d1h1):
     extraction time, transformation time, training time, total, accuracy,
     model size, inference time, training memory."""
     rows = []
-    for key, task, bundle, index in _indexed_task_bundles(spark, NC_TASKS, sf):
-        kg = bundle.kg
-        frame = nc_frame(bundle, task).persist()
-        row: dict = {"task": key}
+    for bundle, tasks in _kg_groups(spark, NC_TASKS, sf):
+        kg, index = bundle.kg, build_index(bundle.kg)
+        for key, task in tasks:
+            frame = nc_frame(bundle, task).persist()
+            row: dict = {"task": key}
 
-        # FG pipeline (no extraction step)
-        row["fg_extract_s"] = 0.0
-        _run_pipeline(kg, frame, task, sf=sf, seed=seed, row=row, prefix="fg")
+            # FG pipeline (no extraction step)
+            row["fg_extract_s"] = 0.0
+            _run_pipeline(kg, frame, task, sf=sf, row=row, prefix="fg")
 
-        # KG' pipeline: d1h1 extraction first
-        targets = target_vertices(kg, task)
-        with timed(row, "kgp_extract_s"):
-            kgp = materialize(extract_tosg(index, targets, TOSGPattern(1, 1)))
-        _run_pipeline(kgp, frame, task, sf=sf, seed=seed, row=row, prefix="kgp")
+            # KG' pipeline: d1h1 extraction first
+            targets = target_vertices(kg, task)
+            with timed(row, "kgp_extract_s"):
+                kgp = materialize(extract_tosg(index, targets, TOSGPattern(1, 1)))
+            _run_pipeline(kgp, frame, task, sf=sf, row=row, prefix="kgp")
 
-        row["fg_total_s"] = row["fg_transform_s"] + row["fg_train_s"]
-        row["kgp_total_s"] = row["kgp_extract_s"] + row["kgp_transform_s"] + row["kgp_train_s"]
-        p = PAPER_TABLE4[key]
-        for k, (fg, kgp_v) in p.items():
-            row[f"paper_fg_{k}"], row[f"paper_kgp_{k}"] = fg, kgp_v
-        rows.append(row)
-        kgp.unpersist()
-        frame.unpersist()
+            row["fg_total_s"] = row["fg_transform_s"] + row["fg_train_s"]
+            row["kgp_total_s"] = row["kgp_extract_s"] + row["kgp_transform_s"] + row["kgp_train_s"]
+            p = PAPER_TABLE4[key]
+            for k, (fg, kgp_v) in p.items():
+                row[f"paper_fg_{k}"], row[f"paper_kgp_{k}"] = fg, kgp_v
+            rows.append(row)
+            kgp.unpersist()
+            frame.unpersist()
+        index.unpersist()
     return pd.DataFrame(rows)
 
 

@@ -1,5 +1,2 @@
 """The paper's contribution: the TOSG generic graph pattern and the three
 extraction mechanisms (BRW, IBS, SPARQL/BGP-based) plus the URW baseline."""
-
-from repro.core.pattern import TOSGPattern  # noqa: F401
-from repro.core.sparql_extract import extract_tosg  # noqa: F401

@@ -75,16 +75,16 @@ def from_triples(kg: KG, triples: DataFrame, *, name: str | None = None) -> KG:
     method's merge step, §IV-C).
 
     The triples are hashed on ``s`` into :data:`ROW_ORDER_BUCKETS` buckets,
-    sorted by ``(s, p, o)`` and deduplicated per bucket, and the buckets are
+    which they reach in the order the probed index layouts emit them, and
+    deduplicated per bucket by a hash aggregate; the buckets are
     concatenated in order. That is the order of the 64-way sort-merge join
     and aggregate that once built d·h TOSGs, which the recorded digests
-    follow: Spark's hash aggregate emits a few rows of some buckets out of
+    follow: the hash aggregate emits a few rows of some buckets out of
     ``(s, p, o)`` order, so a plain sort would not reproduce it. Only the
     matched triples are shuffled, never the KG."""
     t = (
         triples.select("s", "p", "o")
         .repartition(ROW_ORDER_BUCKETS, "s")
-        .sortWithinPartitions("s", "p", "o")
         .dropDuplicates()
         .coalesce(1)
     )

@@ -1,4 +1,2 @@
 """Knowledge-graph substrate: schema, synthetic generators, statistics,
 and hexastore-style partitioned triple indices."""
-
-from repro.kg.schema import KG, KGBundle  # noqa: F401

@@ -28,6 +28,8 @@ from pyspark.sql import DataFrame
 from repro.core.subgraph import collect_ids
 from repro.kg.schema import KG, LocalKG
 
+MAX_HOPS = 20  # BFS horizon of both target indicators: a longer path counts as none
+
 
 def _csr(g: LocalKG) -> tuple[np.ndarray, np.ndarray]:
     return undirected_csr(g.spo[:, 0], g.spo[:, 2], len(g.ids))
@@ -67,32 +69,30 @@ def bfs(indptr: np.ndarray, nbrs: np.ndarray, sources: ArrayLike, max_hops: int)
     return dist
 
 
-def target_disconnected_pct(kgp: KG, targets: DataFrame, *, max_hops: int = 20) -> float:
+def target_disconnected_pct(kgp: KG, targets: DataFrame) -> float:
     """Table III "Target-Discon.(%)": % of non-target vertices of ``kgp``
-    with no path of at most ``max_hops`` edges from a target inside
+    with no path of at most :data:`MAX_HOPS` edges from a target inside
     ``kgp`` (0 when every vertex is a target, 100 when none is)."""
     g, in_t = _local_and_mask(kgp, targets)
-    d = bfs(*_csr(g), np.flatnonzero(in_t), max_hops)
+    d = bfs(*_csr(g), np.flatnonzero(in_t), MAX_HOPS)
     n_non = int((~in_t).sum())
     return 100.0 * int(((d < 0) & ~in_t).sum()) / max(1, n_non)
 
 
-def avg_distance_to_targets(
-    kgp: KG, targets: DataFrame, *, n_sources: int = 8, max_hops: int = 20, seed: int = 0
-) -> float:
+def avg_distance_to_targets(kgp: KG, targets: DataFrame, *, n_sources: int = 8) -> float:
     """Mean finite shortest-path distance over (non-target, target) pairs,
-    estimated by BFS from ``n_sources`` sampled targets (NaN if no target
-    reaches any non-target vertex)."""
+    estimated by BFS, up to :data:`MAX_HOPS`, from ``n_sources`` targets
+    drawn by ``default_rng(0)`` (NaN if no target reaches any non-target
+    vertex)."""
     g, in_t = _local_and_mask(kgp, targets)
     t_pos = np.flatnonzero(in_t)
     if len(t_pos) == 0 or in_t.all():
         return float("nan")
     indptr, nbrs = _csr(g)
-    rng = np.random.default_rng(seed)
-    srcs = rng.choice(t_pos, min(n_sources, len(t_pos)), replace=False)
+    srcs = np.random.default_rng(0).choice(t_pos, min(n_sources, len(t_pos)), replace=False)
     total = count = 0
     for s in srcs:
-        d = bfs(indptr, nbrs, [s], max_hops)
+        d = bfs(indptr, nbrs, [s], MAX_HOPS)
         finite = d[(d > 0) & ~in_t]
         total, count = total + int(finite.sum()), count + len(finite)
     return total / count if count else float("nan")

@@ -1,4 +1,2 @@
 """Task substrate: the benchmark's NC/LP task registry (paper Table II)
 and the time-based / stratified-random train/valid/test splitters."""
-
-from repro.tasks.defs import TASKS, Task, target_vertices  # noqa: F401

@@ -109,9 +109,9 @@ def test_disconnected_pct_hundred_when_no_target_present(line_kg, t_of):
 
 def test_avg_distance_on_path(line_kg, t_of):
     # single target 0: distances of connected non-targets are 1,2,3,4 → 2.5
-    d = avg_distance_to_targets(line_kg, t_of([0]), n_sources=1, seed=0)
+    d = avg_distance_to_targets(line_kg, t_of([0]), n_sources=1)
     assert d == pytest.approx(2.5)
-    assert avg_distance_to_targets(line_kg, t_of([0, 0]), n_sources=1, seed=0) == d
+    assert avg_distance_to_targets(line_kg, t_of([0, 0]), n_sources=1) == d
 
 
 def test_avg_distance_nan_without_targets(line_kg, t_of):

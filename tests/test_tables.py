@@ -4,11 +4,13 @@ import gc
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.bench import tables
 from repro.bench.measure import measured
 from repro.bench.tables import (
     PAPER_TABLE1,
@@ -19,9 +21,42 @@ from repro.bench.tables import (
     table4,
     to_markdown,
 )
+from repro.kg import generator
 from tests.test_generator import EXPECTED_TYPE_COUNTS
 
 SF = 0.05
+
+
+@contextmanager
+def _cache_calls(calls: list):
+    """Append to ``calls``, in order, ``("generate", kg)`` and
+    ``("build_index", kg)`` for each KG the harness generates and indexes,
+    and ``("unpersist", what)`` when either of them is unpersisted."""
+    generate, build_index = generator.generate, tables.build_index
+
+    def traced(obj, event):
+        calls.append(event)
+        unpersist = obj.unpersist
+
+        def logged():
+            calls.append(("unpersist", event))
+            unpersist()
+
+        obj.unpersist = logged
+        return obj
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generator, "generate", lambda name, *a, **kw: traced(
+            generate(name, *a, **kw), ("generate", name)))
+        mp.setattr(tables, "build_index", lambda kg: traced(
+            build_index(kg), ("build_index", kg.name)))
+        yield
+
+
+@pytest.fixture(scope="module")
+def cache_calls():
+    """Table name -> the ``_cache_calls`` record of its module-scoped run."""
+    return {}
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +65,9 @@ def t1(spark):
 
 
 @pytest.fixture(scope="module")
-def t2(spark):
-    return table2(spark, sf=SF)
+def t2(spark, cache_calls):
+    with _cache_calls(cache_calls.setdefault("t2", [])):
+        return table2(spark, sf=SF)
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +76,9 @@ def t3(spark):
 
 
 @pytest.fixture(scope="module")
-def t4(spark):
-    return table4(spark, sf=SF)
+def t4(spark, cache_calls):
+    with _cache_calls(cache_calls.setdefault("t4", [])):
+        return table4(spark, sf=SF)
 
 
 def test_table1_covers_all_kgs(t1):
@@ -138,6 +175,27 @@ def test_table4_training_time_reduced(t4):
     claim); allow one exception at tiny scale."""
     wins = (t4["kgp_train_s"] < t4["fg_train_s"]).sum()
     assert wins >= len(t4) - 1
+
+
+@pytest.mark.parametrize("table", ["t2", "t4"])
+def test_harness_caches_one_kg_at_a_time(request, cache_calls, table):
+    """Each KG is generated once, and it and its index are unpersisted
+    before the next KG is generated, so Spark's cache holds one KG (plus
+    its index) at a time and none once the table is done."""
+    request.getfixturevalue(table)
+    calls = cache_calls[table]
+    generated = [e for e in calls if e[0] == "generate"]
+    assert len({name for _, name in generated}) == len(generated) > 1
+    held: set = set()
+    for event in calls:
+        if event[0] == "unpersist":
+            held.remove(event[1])
+        else:
+            assert event[0] == "build_index" or not held, (event, held)
+            held.add(event)
+    assert not held
+    if table == "t4":
+        assert sum(e[0] == "build_index" for e in calls) == len(generated)
 
 
 def test_to_markdown_renders(t1):
