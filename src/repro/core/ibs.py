@@ -6,9 +6,10 @@ paper does ("adapts the PPR [38] to approximate an influence score"):
 batched-seed power iteration ``p_{t+1} = alpha * seed + (1 - alpha) *
 A_norm^T p_t`` over the undirected KG, pruning scores below ``eps`` every
 round (the epsilon of the paper's O(N_out / (eps * alpha)) bound). The
-mass is at most 1, so at most 1/eps vertices survive a round: the iteration
-runs in numpy on the driver, and Spark only fetches the triples of vertices
-new to that frontier (a broadcast probe), so a settled frontier runs none.
+iteration runs in numpy on the driver over one collection of the KG's
+``(s, o)`` pairs, the same edge set the walker collects; the mass is at
+most 1, so at most 1/eps vertices survive a round, which bounds the
+arithmetic, not what is collected.
 Top-k keeps the ``k * bs`` most influential non-targets (global, not
 per-target pairs — DESIGN.md §4.4); KG' is the induced subgraph over
 seeds + influential targets + chosen neighbours.
@@ -17,37 +18,24 @@ from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.subgraph import collect_ids, id_frame, induced_subgraph, probe
+from repro.core.subgraph import collect_ids, induced_subgraph
 from repro.core.walks import sample_vertices
 from repro.kg.schema import KG
 
 
-def _neighbours(kg: KG, ids: np.ndarray) -> np.ndarray:
-    """Rows ``(src, dst, deg(src))``, one per distinct undirected neighbour
-    ``dst`` of each ``src`` in ``ids`` (triples with ``s`` or ``o`` in ``ids``)."""
-    t = kg.triples
-    both = t.select(F.col("s").alias("id"), F.col("o").alias("dst")).unionByName(
-        t.select(F.col("o").alias("id"), F.col("s").alias("dst"))
-    )
-    pairs = probe(both, "id", id_frame(t.sparkSession, ids)).toPandas()
-    pairs = np.unique(pairs.to_numpy(np.int64), axis=0)
-    _, inv, deg = np.unique(pairs[:, 0], return_inverse=True, return_counts=True)
-    return np.column_stack([pairs, deg[inv]])
-
-
 def ppr(kg: KG, seed_rows: np.ndarray, *, alpha: float, eps: float, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted ids and their PPR scores; each distinct seed id starts with
-    mass ``1 / len(seed_rows)``. A vertex's triples are fetched once. The
+    mass ``1 / len(seed_rows)``. The KG is collected once, as sorted
+    distinct rows ``(src, dst, deg(src))`` of its undirected edges. The
     walk divides by degree (no reciprocal): top-k cuts see the last bit."""
+    so = kg.triples.select("s", "o").toPandas().to_numpy(np.int64)
+    pairs = np.unique(np.concatenate([so, so[:, ::-1]]), axis=0)
+    _, inv, deg = np.unique(pairs[:, 0], return_inverse=True, return_counts=True)
+    adj = np.column_stack([pairs, deg[inv]])
     p0, mass = np.unique(seed_rows), 1.0 / max(1, len(seed_rows))
     ids, score = p0, np.full(len(p0), mass)
-    fetched, adj = np.empty(0, np.int64), np.empty((0, 3), np.int64)
     for _ in range(iters):
-        new = np.setdiff1d(ids, fetched, assume_unique=True)
-        if len(new):
-            fetched, adj = np.union1d(fetched, new), np.concatenate([adj, _neighbours(kg, new)])
         out = adj[np.isin(adj[:, 0], ids)]
         m = score[np.searchsorted(ids, out[:, 0])] / out[:, 2]
         ids = np.union1d(p0, out[:, 1])
@@ -72,8 +60,7 @@ def ibs_sample(
     targets plus the top ``k*bs`` influential non-targets, induce KG'."""
     seeds = sample_vertices(targets, bs, seed=seed)
     ids, score = ppr(kg, seeds, alpha=alpha, eps=eps, iters=iters)
-    keys = id_frame(kg.triples.sparkSession, ids)
-    is_target = np.isin(ids, collect_ids(probe(targets, "id", keys)))
+    is_target = np.isin(ids, collect_ids(targets))
     others = np.flatnonzero(~is_target)
     top = others[np.lexsort((ids[others], -score[others]))[: k * bs]]
     chosen = np.unique(np.concatenate([seeds, ids[is_target], ids[top]]))

@@ -204,7 +204,7 @@ def _labels_df(spark: SparkSession, ids: np.ndarray, labels: np.ndarray):
 # The five benchmark KGs
 # ---------------------------------------------------------------------------
 
-def mag(spark: SparkSession, *, sf: float = 0.1, seed: int = 11) -> KGBundle:
+def mag(spark: SparkSession, *, sf: float, seed: int = 11) -> KGBundle:
     """MAG-42M-lite: papers/authors/topics core + a large irrelevant mass.
 
     Targets: Paper (tasks PV — 16 venue classes, PD — 8 domain classes; PD's
@@ -254,7 +254,7 @@ def mag(spark: SparkSession, *, sf: float = 0.1, seed: int = 11) -> KGBundle:
     )
 
 
-def dblp(spark: SparkSession, *, sf: float = 0.1, seed: int = 13) -> KGBundle:
+def dblp(spark: SparkSession, *, sf: float, seed: int = 13) -> KGBundle:
     """DBLP-15M-lite: paper-dominated academic KG with tiny noise share, so
     URW samples stay connected to targets (Table III: 0% disconnected).
 
@@ -291,7 +291,7 @@ def dblp(spark: SparkSession, *, sf: float = 0.1, seed: int = 13) -> KGBundle:
     )
 
 
-def yago(spark: SparkSession, *, sf: float = 0.1, seed: int = 17) -> KGBundle:
+def yago(spark: SparkSession, *, sf: float, seed: int = 17) -> KGBundle:
     """YAGO-30M-lite: general-purpose KG. Places are plentiful (URW samples
     stay near PC targets); creative works are rare (URW samples mostly
     disconnected from CG targets); large noise mass. 104/98 types.
@@ -335,7 +335,7 @@ def yago(spark: SparkSession, *, sf: float = 0.1, seed: int = 17) -> KGBundle:
     )
 
 
-def wikikg2(spark: SparkSession, *, sf: float = 1.0, seed: int = 19) -> KGBundle:
+def wikikg2(spark: SparkSession, *, sf: float, seed: int = 19) -> KGBundle:
     """ogbl-wikikg2-lite: small general KG for the PO link-prediction task
     (⟨person, occupation, ?⟩). Persons cluster by profession; ``worksWith``
     edges inside a cluster make the occupation edge learnable. Type counts
@@ -364,7 +364,7 @@ def wikikg2(spark: SparkSession, *, sf: float = 1.0, seed: int = 19) -> KGBundle
     return KGBundle(kg=kg, labels={})
 
 
-def yago3_10(spark: SparkSession, *, sf: float = 1.0, seed: int = 23) -> KGBundle:
+def yago3_10(spark: SparkSession, *, sf: float, seed: int = 23) -> KGBundle:
     """YAGO3-10-lite: the paper's small LP KG (CA task: ⟨person,
     isCitizenOf, ?country⟩). Citizenship is consistent with the
     bornIn∘cityOfCountry composition, so TransE can learn it. 23/37 types.

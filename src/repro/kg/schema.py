@@ -90,11 +90,10 @@ class KG:
         return g
 
     def undirected_edges(self) -> DataFrame:
-        """Edges as ``(src, dst)`` in both directions.
-
-        Random walks and reachability in the paper (GraphSAINT's sampler,
-        the disconnected-from-target indicator) treat the KG as undirected.
-        """
+        """Distinct edges as ``(src, dst)`` in both directions: the
+        undirected KG that the random walk of Algorithm 1 (GraphSAINT's
+        sampler) steps over. The walker collects it, and its draws follow
+        this table's row order."""
         fwd = self.triples.select(F.col("s").alias("src"), F.col("o").alias("dst"))
         rev = self.triples.select(F.col("o").alias("src"), F.col("s").alias("dst"))
         return fwd.unionByName(rev).distinct()

@@ -14,7 +14,7 @@ from repro.core.ibs import ibs_sample, ppr
 from repro.core.subgraph import materialize
 from repro.core.walks import sample_vertices
 from repro.kg import generator
-from repro.kg.schema import make_kg
+from repro.kg.schema import KG, make_kg
 from repro.tasks.defs import TASKS, target_vertices
 from tests.oracle import assert_equivalent
 from tests.strategies import count_jobs
@@ -114,16 +114,17 @@ def test_ppr_isolated_seed_keeps_teleport_mass(spark):
     assert got.set_index("id").score[2] == 0.25 / 3
 
 
-def test_ppr_jobs_stop_once_frontier_saturates(spark, small_kg):
-    """Spark only fetches the triples of vertices new to the frontier: with
-    ``eps=0`` the frontier covers the connected graph after 5 rounds, so
-    further rounds run no Spark job."""
+def test_ppr_collects_the_kg_once(spark, small_kg):
+    """Spark's only work is one collection of the KG's ``(s, o)`` pairs, so
+    the job count does not grow with the number of rounds: with ``eps=0``
+    the frontier grows for 5 rounds, yet 1, 6 and 10 rounds run the same
+    jobs."""
     seeds = np.array([0], np.int64)
 
     def jobs(iters: int) -> int:
         return count_jobs(spark, lambda: ppr(small_kg, seeds, alpha=0.25, eps=0.0, iters=iters))
 
-    assert jobs(6) == jobs(10) > 0
+    assert jobs(6) == jobs(10) == jobs(1) > 0
 
 
 def test_ppr_mass_bounded(small_kg):
@@ -211,6 +212,25 @@ def test_generate_and_ibs_without_arrow(spark):
         assert sub.nodes.where(F.col("year").isNotNull()).count() > 0
     finally:
         spark.conf.set(key, before)
+
+
+def test_ibs_independent_of_triple_partitioning(spark):
+    """The same KG with its triples in 1 and in 7 partitions gives the same
+    IBS vertex ids and the same ``(s, p, o)`` rows."""
+    task = TASKS["CG/YAGO-30M"]
+    b = generator.generate(task.kg_name, spark, sf=0.05, seed=1)
+    targets = target_vertices(b.kg, task).persist()
+
+    def sample(n: int) -> tuple[list, list]:
+        kg = KG(name=b.kg.name, nodes=b.kg.nodes, triples=b.kg.triples.repartition(n))
+        sub = ibs_sample(kg, targets, bs=25, k=4, eps=4e-4, iters=4, seed=1)
+        return sorted(r.id for r in sub.nodes.select("id").collect()), sorted(map(tuple, sub.triples.collect()))
+
+    one = sample(1)
+    assert one == sample(7)
+    assert len(one[0]) > 25 and one[1]
+    targets.unpersist()
+    b.unpersist()
 
 
 def test_ibs_contains_seed_targets(mag_bundle, mag_pv_targets):
